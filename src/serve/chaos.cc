@@ -1,8 +1,8 @@
 #include "serve/chaos.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <vector>
+#include <chrono>
+#include <thread>
 
 #include "util/random.hh"
 
@@ -18,20 +18,16 @@ class ChaosConnection : public Connection
                     const ChaosPlan &plan_,
                     std::uint64_t connection_index)
         : inner(std::move(inner_)), plan(plan_),
-          rng(util::Rng(plan_.seed).split(connection_index))
+          rng(util::Rng(plan_.seed).split(connection_index)),
+          readRng(util::Rng(plan_.seed).split(connection_index).split(1))
     {
     }
 
     std::size_t read(void *buf, std::size_t max) override
     {
-        // A read means the caller is done writing for now; anything
-        // still held by a lazy flush must go out first, or a request
-        // whose tail we are sitting on can never be answered.
-        if (!flushPending())
-            return 0;
-        if (max > 1 && rng.bernoulli(plan.shortReadRate)) {
+        if (max > 1 && readRng.bernoulli(plan.shortReadRate)) {
             const std::size_t cap = static_cast<std::size_t>(
-                rng.uniformInt(1, 7));
+                readRng.uniformInt(1, 7));
             max = std::min(max, cap);
         }
         return inner->read(buf, max);
@@ -39,8 +35,6 @@ class ChaosConnection : public Connection
 
     bool writeAll(const void *buf, std::size_t n) override
     {
-        if (!flushPending())
-            return false;
         const auto *p = static_cast<const std::uint8_t *>(buf);
         if (n == 0)
             return inner->writeAll(buf, 0);
@@ -58,14 +52,16 @@ class ChaosConnection : public Connection
         }
 
         if (rng.bernoulli(plan.delayFlushRate) && n > 1) {
-            // Hold back a non-empty tail until the next operation.
+            // Send a head, stall, then send the non-empty tail: the
+            // peer sees a frame stop short and must wait for the rest.
             const std::size_t keep = static_cast<std::size_t>(
                 rng.uniformInt(1, static_cast<std::int64_t>(n) - 1));
             const std::size_t head = n - keep;
             if (head > 0 && !inner->writeAll(p, head))
                 return false;
-            pending.insert(pending.end(), p + head, p + n);
-            return true;
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(rng.uniformInt(1, 200)));
+            return inner->writeAll(p + head, keep);
         }
 
         if (rng.bernoulli(plan.partialWriteRate) && n > 1) {
@@ -91,29 +87,13 @@ class ChaosConnection : public Connection
         return inner->writeAll(p, n);
     }
 
-    void close() override
-    {
-        // Bytes written before a clean close must still arrive (a
-        // trailing Bye is not a fault); only disconnects drop data.
-        flushPending();
-        inner->close();
-    }
+    void close() override { inner->close(); }
 
   private:
-    /** @return false if the flush hit a closed peer. */
-    bool flushPending()
-    {
-        if (pending.empty())
-            return true;
-        std::vector<std::uint8_t> out;
-        out.swap(pending);
-        return inner->writeAll(out.data(), out.size());
-    }
-
     std::unique_ptr<Connection> inner;
     ChaosPlan plan;
-    util::Rng rng;
-    std::vector<std::uint8_t> pending;
+    util::Rng rng;      //!< Write-side decisions.
+    util::Rng readRng;  //!< Read-side decisions.
 };
 
 } // namespace

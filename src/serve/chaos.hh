@@ -3,12 +3,11 @@
  * Seeded fault injection for serve transports.
  *
  * chaosWrap() decorates a Connection with the network's bad days:
- * writes fragmented into arbitrary chunks, bytes held back until the
- * next operation (a lazy flush), reads truncated to a few bytes, and
+ * writes fragmented into arbitrary chunks, writes that stall part-way
+ * before sending their tail, reads truncated to a few bytes, and
  * mid-frame disconnects. Every decision is drawn from an Rng seeded
- * by (plan seed, connection index), so a soak run is bit-for-bit
- * reproducible from its seed — the same discipline as sim/fault's
- * FaultSchedule, lifted to the byte-transport layer.
+ * by (plan seed, connection index) — the same discipline as
+ * sim/fault's FaultSchedule, lifted to the byte-transport layer.
  *
  * The faults deliberately preserve what a real kernel socket
  * preserves: bytes that are delivered arrive in order and unmodified.
@@ -18,9 +17,10 @@
  * replies under any chaos schedule; divergence is a protocol bug, not
  * an artefact of the harness.
  *
- * The wrapper serialises no internal state: it is meant for the
- * client endpoint of a connection, where one thread both reads and
- * writes. Do not share a chaos-wrapped endpoint between threads.
+ * Reads and writes draw from separate seeded streams and share no
+ * other state, so one reader thread and one writer thread may use a
+ * wrapped endpoint at once — as the client's receiver and sender do.
+ * Two threads must not write (or read) concurrently.
  */
 
 #ifndef PREDVFS_SERVE_CHAOS_HH
@@ -42,15 +42,15 @@ struct ChaosPlan
     std::uint64_t seed = 1;
 
     double partialWriteRate = 0.0;  //!< Fragment a write into chunks.
-    double delayFlushRate = 0.0;    //!< Hold a write's tail until the
-                                    //!< next read/write/close.
+    double delayFlushRate = 0.0;    //!< Stall a write part-way
+                                    //!< before sending its tail.
     double shortReadRate = 0.0;     //!< Cap a read at 1–7 bytes.
     double disconnectRate = 0.0;    //!< Sever mid-write, dropping the
                                     //!< unsent suffix.
 
     /**
      * A balanced plan at overall intensity @p rate: fragmentation,
-     * lazy flushes, and short reads at @p rate each, disconnects at a
+     * stalled writes, and short reads at @p rate each, disconnects at a
      * quarter of it (each disconnect costs a reconnect round trip, so
      * equal weighting would drown the soak in handshakes).
      */
@@ -68,9 +68,9 @@ struct ChaosPlan
 
 /**
  * Wrap @p inner in seeded chaos. @p connection_index distinguishes
- * connections sharing one plan (client N of a soak) — the fault
- * sequence is a pure function of (plan.seed, connection_index, the
- * order of read/write/close calls).
+ * connections sharing one plan (client N of a soak) — each
+ * direction's fault sequence is a pure function of (plan.seed,
+ * connection_index, the order of that direction's calls).
  */
 std::unique_ptr<Connection> chaosWrap(std::unique_ptr<Connection> inner,
                                       const ChaosPlan &plan,

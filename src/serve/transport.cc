@@ -249,18 +249,83 @@ connectEndpoint(const std::string &address, int timeout_ms)
 
 namespace {
 
-/** A connected AF_UNIX stream socket. */
+/**
+ * A socket descriptor one thread may close while others are blocked in
+ * calls on it. close() shuts the socket down at once — waking blocked
+ * reads and polls and failing later writes — but the number goes back
+ * to the kernel only when the last call using it has returned, so no
+ * call can land on a descriptor since handed to another socket.
+ */
+class SharedFd
+{
+  public:
+    explicit SharedFd(int socket_fd) : fd(socket_fd) {}
+    ~SharedFd() { close(); }
+
+    SharedFd(const SharedFd &) = delete;
+    SharedFd &operator=(const SharedFd &) = delete;
+
+    /** Pins the descriptor open for one call; fd is -1 once closed. */
+    struct Use
+    {
+        explicit Use(SharedFd &owner) : sock(owner), fd(owner.acquire())
+        {
+        }
+        ~Use()
+        {
+            if (fd >= 0)
+                sock.release();
+        }
+        Use(const Use &) = delete;
+        Use &operator=(const Use &) = delete;
+
+        SharedFd &sock;
+        const int fd;
+    };
+
+    void close()
+    {
+        if (shut.exchange(true))
+            return;
+        ::shutdown(fd, SHUT_RDWR);
+        release();  // The open socket's own reference.
+    }
+
+  private:
+    int acquire()
+    {
+        int n = refs.load();
+        while (n > 0) {
+            if (refs.compare_exchange_weak(n, n + 1))
+                return fd;
+        }
+        return -1;
+    }
+
+    void release()
+    {
+        if (refs.fetch_sub(1) == 1)
+            ::close(fd);
+    }
+
+    const int fd;
+    std::atomic<int> refs{1};
+    std::atomic<bool> shut{false};
+};
+
+/** A connected AF_UNIX or TCP stream socket. */
 class SocketConnection : public Connection
 {
   public:
-    explicit SocketConnection(int socket_fd) : fd(socket_fd) {}
-
-    ~SocketConnection() override { close(); }
+    explicit SocketConnection(int socket_fd) : sock(socket_fd) {}
 
     std::size_t read(void *buf, std::size_t max) override
     {
+        const SharedFd::Use use(sock);
+        if (use.fd < 0)
+            return 0;
         for (;;) {
-            const ssize_t n = ::recv(fd, buf, max, 0);
+            const ssize_t n = ::recv(use.fd, buf, max, 0);
             if (n >= 0)
                 return static_cast<std::size_t>(n);
             if (errno == EINTR)
@@ -271,13 +336,16 @@ class SocketConnection : public Connection
 
     bool writeAll(const void *buf, std::size_t n) override
     {
+        const SharedFd::Use use(sock);
+        if (use.fd < 0)
+            return false;
         const auto *p = static_cast<const std::uint8_t *>(buf);
         std::size_t sent = 0;
         while (sent < n) {
             // MSG_NOSIGNAL: a vanished peer must surface as a failed
             // write, not a process-killing SIGPIPE.
             const ssize_t w =
-                ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
+                ::send(use.fd, p + sent, n - sent, MSG_NOSIGNAL);
             if (w < 0) {
                 if (errno == EINTR)
                     continue;
@@ -288,24 +356,20 @@ class SocketConnection : public Connection
         return true;
     }
 
-    void close() override
-    {
-        int expected = fd.load();
-        if (expected >= 0 && fd.compare_exchange_strong(expected, -1)) {
-            ::shutdown(expected, SHUT_RDWR);
-            ::close(expected);
-        }
-    }
+    void close() override { sock.close(); }
 
   private:
-    std::atomic<int> fd;
+    SharedFd sock;
 };
 
 } // namespace
 
 struct ListenerState
 {
+    explicit ListenerState(int listen_fd) : sock(listen_fd) {}
+
     std::atomic<bool> closing{false};
+    SharedFd sock;
 };
 
 namespace {
@@ -323,12 +387,15 @@ setTcpNoDelay(int fd)
 /**
  * The shared accept loop: poll with a short timeout instead of
  * blocking in accept(2) — the stop flag is the only portable way to
- * end the loop without racing a concurrent close() of the fd.
+ * end the loop (shutdown(2) does not wake every platform's accept),
+ * and the pinned descriptor stays open until the loop returns.
  */
 std::unique_ptr<Connection>
-acceptLoop(int fd, ListenerState &state, bool tcp_nodelay)
+acceptLoop(ListenerState &state, bool tcp_nodelay)
 {
-    while (!state.closing.load()) {
+    const SharedFd::Use use(state.sock);
+    const int fd = use.fd;
+    while (fd >= 0 && !state.closing.load()) {
         pollfd pfd{};
         pfd.fd = fd;
         pfd.events = POLLIN;
@@ -373,14 +440,13 @@ resolveIpv4(const std::string &host, bool for_listen, in_addr *out)
 
 } // namespace
 
-UnixListener::UnixListener(const std::string &path)
-    : sockPath(path), state(std::make_shared<ListenerState>())
+UnixListener::UnixListener(const std::string &path) : sockPath(path)
 {
     sockaddr_un addr{};
     util::fatalIf(path.size() >= sizeof(addr.sun_path),
                   "UnixListener: socket path too long: ", path);
 
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     util::fatalIf(fd < 0, "UnixListener: socket(): ",
                   std::strerror(errno));
 
@@ -393,6 +459,7 @@ UnixListener::UnixListener(const std::string &path)
                   std::strerror(errno));
     util::fatalIf(::listen(fd, 16) != 0, "UnixListener: listen(): ",
                   std::strerror(errno));
+    state = std::make_shared<ListenerState>(fd);
 }
 
 UnixListener::~UnixListener()
@@ -403,7 +470,7 @@ UnixListener::~UnixListener()
 std::unique_ptr<Connection>
 UnixListener::accept()
 {
-    return acceptLoop(fd, *state, /*tcp_nodelay=*/false);
+    return acceptLoop(*state, /*tcp_nodelay=*/false);
 }
 
 void
@@ -411,10 +478,7 @@ UnixListener::close()
 {
     if (state->closing.exchange(true))
         return;
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
+    state->sock.close();
     ::unlink(sockPath.c_str());
 }
 
@@ -449,7 +513,7 @@ connectWithRetry(const std::string &path, int timeout_ms)
 }
 
 TcpListener::TcpListener(const std::string &host, std::uint16_t port)
-    : bindHost(host), state(std::make_shared<ListenerState>())
+    : bindHost(host)
 {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -458,7 +522,7 @@ TcpListener::TcpListener(const std::string &host, std::uint16_t port)
                   "TcpListener: bad host '", host,
                   "' (numeric IPv4, 'localhost', or '*' expected)");
 
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     util::fatalIf(fd < 0, "TcpListener: socket(): ",
                   std::strerror(errno));
 
@@ -482,6 +546,7 @@ TcpListener::TcpListener(const std::string &host, std::uint16_t port)
                                 &len) != 0,
                   "TcpListener: getsockname(): ", std::strerror(errno));
     boundPort = ntohs(bound.sin_port);
+    state = std::make_shared<ListenerState>(fd);
 }
 
 TcpListener::~TcpListener()
@@ -492,7 +557,7 @@ TcpListener::~TcpListener()
 std::unique_ptr<Connection>
 TcpListener::accept()
 {
-    return acceptLoop(fd, *state, /*tcp_nodelay=*/true);
+    return acceptLoop(*state, /*tcp_nodelay=*/true);
 }
 
 void
@@ -500,10 +565,7 @@ TcpListener::close()
 {
     if (state->closing.exchange(true))
         return;
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
+    state->sock.close();
 }
 
 std::string

@@ -145,7 +145,6 @@ class UnixListener : public Listener
 
   private:
     std::string sockPath;
-    int fd = -1;
     // close() may race accept(); the flag is checked between polls.
     std::shared_ptr<struct ListenerState> state;
 };
@@ -179,7 +178,6 @@ class TcpListener : public Listener
   private:
     std::string bindHost;
     std::uint16_t boundPort = 0;
-    int fd = -1;
     std::shared_ptr<struct ListenerState> state;
 };
 

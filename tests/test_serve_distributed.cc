@@ -433,8 +433,65 @@ TEST(ServeDistributed, MidRunSeverAndReconnectOverTcp)
     EXPECT_GE(client.stats().reconnects, 1u);
     EXPECT_GE(client.stats().retries, 1u);
 
+    // Stats ride the same reconnected client: the receiver routes the
+    // StatsReply back, and the client half counts the re-dial.
+    const std::string stats = client.statsJson();
+    EXPECT_NE(stats.find("\"server_report\""), std::string::npos);
+    const std::string field = "\"reconnects\": ";
+    const std::size_t at = stats.find(field);
+    ASSERT_NE(at, std::string::npos) << stats;
+    EXPECT_GE(std::stoull(stats.substr(at + field.size())), 1u);
+
     expectStreamIdentity(server.telemetry("sha"));
     server.stop();
+}
+
+// ---------------------------------------------------------------
+// Stream keys belong to the caller's handle, not to the server's
+// stream id: a reconnect to a server that registered the same
+// benchmarks in another order must not swap them.
+// ---------------------------------------------------------------
+
+TEST(ServeDistributed, ReconnectToReorderedServerKeepsStreamKeys)
+{
+    const sim::ExperimentOptions eopts;
+    serve::ServerOptions sopts;
+    sopts.experiment = eopts;
+    serve::PredictionServer serverA(sopts);
+    serverA.registerBenchmark("sha");
+    serverA.registerBenchmark("cjpeg");
+    serve::PredictionServer serverB(sopts);
+    serverB.registerBenchmark("cjpeg");
+    serverB.registerBenchmark("sha");
+
+    // The first dial reaches A and cuts out a few requests into the
+    // burst; every redial reaches B, where sha and cjpeg hold each
+    // other's server ids.
+    auto dials = std::make_shared<std::uint64_t>(0);
+    serve::RetryOptions ropts;
+    ropts.enabled = true;
+    ropts.connect = [&serverA, &serverB, dials]()
+        -> std::unique_ptr<serve::Connection> {
+        if ((*dials)++ == 0)
+            return std::make_unique<SeverAfter>(serverA.connectLoopback(),
+                                                /*writes=*/8);
+        return serverB.connectLoopback();
+    };
+
+    serve::PredictionClient client(ropts);
+    const std::uint32_t sha = client.openStream("sha");
+    const std::uint32_t cjpeg = client.openStream("cjpeg");
+    const std::uint64_t cjpeg_key = client.streamKey(cjpeg);
+    expectMatchesFixture(
+        serve::buildGoldenReport(client, sha, "sha", eopts), "sha",
+        "reconnected to a server with reordered streams");
+    EXPECT_GE(client.stats().reconnects, 1u);
+    EXPECT_EQ(client.streamKey(cjpeg), cjpeg_key);
+    EXPECT_NE(client.streamKey(sha), cjpeg_key);
+
+    client.bye();
+    serverA.stop();
+    serverB.stop();
 }
 
 // ---------------------------------------------------------------
