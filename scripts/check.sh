@@ -51,7 +51,7 @@ stage "clang-tidy (if available)"
 if command -v clang-tidy > /dev/null 2>&1; then
     cmake -B build -G Ninja -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
         > /dev/null
-    find src -name '*.cc' -print0 \
+    find src tests/support -name '*.cc' -print0 \
         | xargs -0 clang-tidy -p build --quiet
 else
     echo "clang-tidy not installed; skipping (CI runs it)"

@@ -15,38 +15,10 @@ using util::panicIf;
 
 namespace {
 
-/** Map a tree operator to its bytecode opcode (non-leaf ops only). */
-BOp
-lowerOp(Op op)
-{
-    switch (op) {
-      case Op::Add: return BOp::Add;
-      case Op::Sub: return BOp::Sub;
-      case Op::Mul: return BOp::Mul;
-      case Op::Div: return BOp::Div;
-      case Op::Mod: return BOp::Mod;
-      case Op::Min: return BOp::Min;
-      case Op::Max: return BOp::Max;
-      case Op::Eq: return BOp::Eq;
-      case Op::Ne: return BOp::Ne;
-      case Op::Lt: return BOp::Lt;
-      case Op::Le: return BOp::Le;
-      case Op::Gt: return BOp::Gt;
-      case Op::Ge: return BOp::Ge;
-      case Op::And: return BOp::And;
-      case Op::Or: return BOp::Or;
-      case Op::Not: return BOp::Not;
-      case Op::Select: return BOp::Select;
-      default:
-        panic("lowerOp: leaf op ", static_cast<int>(op));
-    }
-    return BOp::Add;
-}
-
 /**
- * Run one straight-line program. @p sp_base and @p locals must have
- * room for the program's declared stack depth and local count; the
- * result is the single value left on the stack.
+ * Run one straight-line program. @p sp_base must have room for the
+ * program's declared stack depth; the result is the single value left
+ * on the stack.
  *
  * On GCC/Clang dispatch is token-threaded: each handler jumps
  * directly to the next instruction's handler through a label table
@@ -57,19 +29,17 @@ lowerOp(Op op)
  */
 std::int64_t
 execProgram(const BInstr *code, std::size_t n, const std::int64_t *pool,
-            const std::int64_t *fields, std::int64_t *sp_base,
-            std::int64_t *locals)
+            const std::int64_t *fields, std::int64_t *sp_base)
 {
     if (n == 0)
         return 0;  // Program roots are never empty; defensive.
     std::int64_t *sp = sp_base;
 #if defined(__GNUC__) || defined(__clang__)
-    // One entry per BOp, in exact enum order.
+    // One entry per Op, in exact enum order.
     static const void *const kLabels[] = {
-        &&l_push_const, &&l_push_field, &&l_load_local,
-        &&l_store_local, &&l_add, &&l_sub, &&l_mul, &&l_div, &&l_mod,
-        &&l_min, &&l_max, &&l_eq, &&l_ne, &&l_lt, &&l_le, &&l_gt,
-        &&l_ge, &&l_and, &&l_or, &&l_not, &&l_select,
+        &&l_const, &&l_field, &&l_add, &&l_sub, &&l_mul, &&l_div,
+        &&l_mod, &&l_min, &&l_max, &&l_eq, &&l_ne, &&l_lt, &&l_le,
+        &&l_gt, &&l_ge, &&l_and, &&l_or, &&l_not, &&l_select,
     };
     const BInstr *ip = code;
     const BInstr *const end = code + n;
@@ -80,10 +50,8 @@ execProgram(const BInstr *code, std::size_t n, const std::int64_t *pool,
         goto *kLabels[static_cast<std::size_t>(ip->op)];               \
     } while (0)
     goto *kLabels[static_cast<std::size_t>(ip->op)];
-  l_push_const: *sp++ = pool[ip->arg]; PREDVFS_NEXT;
-  l_push_field: *sp++ = fields[ip->arg]; PREDVFS_NEXT;
-  l_load_local: *sp++ = locals[ip->arg]; PREDVFS_NEXT;
-  l_store_local: locals[ip->arg] = sp[-1]; PREDVFS_NEXT;
+  l_const: *sp++ = pool[ip->arg]; PREDVFS_NEXT;
+  l_field: *sp++ = fields[ip->arg]; PREDVFS_NEXT;
   l_add: sp[-2] = sp[-2] + sp[-1]; --sp; PREDVFS_NEXT;
   l_sub: sp[-2] = sp[-2] - sp[-1]; --sp; PREDVFS_NEXT;
   l_mul: sp[-2] = sp[-2] * sp[-1]; --sp; PREDVFS_NEXT;
@@ -109,41 +77,16 @@ execProgram(const BInstr *code, std::size_t n, const std::int64_t *pool,
     for (std::size_t i = 0; i < n; ++i) {
         const BInstr in = code[i];
         switch (in.op) {
-          case BOp::PushConst: *sp++ = pool[in.arg]; break;
-          case BOp::PushField: *sp++ = fields[in.arg]; break;
-          case BOp::LoadLocal: *sp++ = locals[in.arg]; break;
-          case BOp::StoreLocal: locals[in.arg] = sp[-1]; break;
-          case BOp::Add: sp[-2] = sp[-2] + sp[-1]; --sp; break;
-          case BOp::Sub: sp[-2] = sp[-2] - sp[-1]; --sp; break;
-          case BOp::Mul: sp[-2] = sp[-2] * sp[-1]; --sp; break;
-          case BOp::Div: sp[-2] = safeDiv(sp[-2], sp[-1]); --sp; break;
-          case BOp::Mod: sp[-2] = safeMod(sp[-2], sp[-1]); --sp; break;
-          case BOp::Min:
-            sp[-2] = sp[-2] < sp[-1] ? sp[-2] : sp[-1];
-            --sp;
-            break;
-          case BOp::Max:
-            sp[-2] = sp[-2] > sp[-1] ? sp[-2] : sp[-1];
-            --sp;
-            break;
-          case BOp::Eq: sp[-2] = sp[-2] == sp[-1] ? 1 : 0; --sp; break;
-          case BOp::Ne: sp[-2] = sp[-2] != sp[-1] ? 1 : 0; --sp; break;
-          case BOp::Lt: sp[-2] = sp[-2] < sp[-1] ? 1 : 0; --sp; break;
-          case BOp::Le: sp[-2] = sp[-2] <= sp[-1] ? 1 : 0; --sp; break;
-          case BOp::Gt: sp[-2] = sp[-2] > sp[-1] ? 1 : 0; --sp; break;
-          case BOp::Ge: sp[-2] = sp[-2] >= sp[-1] ? 1 : 0; --sp; break;
-          case BOp::And:
-            sp[-2] = (sp[-2] != 0 && sp[-1] != 0) ? 1 : 0;
-            --sp;
-            break;
-          case BOp::Or:
-            sp[-2] = (sp[-2] != 0 || sp[-1] != 0) ? 1 : 0;
-            --sp;
-            break;
-          case BOp::Not: sp[-1] = sp[-1] == 0 ? 1 : 0; break;
-          case BOp::Select:
+          case Op::Const: *sp++ = pool[in.arg]; break;
+          case Op::Field: *sp++ = fields[in.arg]; break;
+          case Op::Not: sp[-1] = sp[-1] == 0 ? 1 : 0; break;
+          case Op::Select:
             sp[-3] = sp[-3] != 0 ? sp[-2] : sp[-1];
             sp -= 2;
+            break;
+          default:
+            sp[-2] = applyBinary(in.op, sp[-2], sp[-1]);
+            --sp;
             break;
         }
     }
@@ -175,7 +118,7 @@ struct ATerm
     std::int64_t b = 0;
     std::int64_t z = 0;
     FieldId field = -1;
-    BOp cmp = BOp::Eq;
+    Op cmp = Op::Eq;
     int kind = 0;  //!< 0 linear, 1 cond, 2 cond-compare.
 };
 
@@ -255,7 +198,7 @@ foldSelectChain(const Expr &e, std::int64_t scale, std::int64_t &imm,
         ATerm t;
         t.kind = 2;
         t.field = field;
-        t.cmp = BOp::Eq;
+        t.cmp = Op::Eq;
         t.z = keys[i];
         t.a = addWrap(mulWrap(scale, arms[i]),
                       mulWrap(scale, mulWrap(term, -1)));
@@ -335,7 +278,7 @@ collectAffine(const Expr &e, std::int64_t scale, std::int64_t &imm,
                    c.args()[1]->isConstant()) {
             t.kind = 2;
             t.field = c.args()[0]->fieldId();
-            t.cmp = lowerOp(c.op());
+            t.cmp = c.op();
             t.z = c.args()[1]->eval(kNoFields);
         } else {
             return false;
@@ -414,16 +357,6 @@ fieldDomainProduct(const Expr &e, const std::vector<FieldBounds> &bounds,
  */
 constexpr std::uint64_t kMaxFoldDomain = 4096;
 
-/** Total node count of a tree (for the Bin2-vs-bytecode heuristic). */
-std::size_t
-treeSize(const Expr &e)
-{
-    std::size_t n = 1;
-    for (const ExprPtr &k : e.args())
-        n += treeSize(*k);
-    return n;
-}
-
 /** What one compiled expression looks like before pool placement. */
 struct ProgramInfo
 {
@@ -434,16 +367,13 @@ struct ProgramInfo
     std::uint32_t first = 0;
     std::uint32_t count = 0;
     std::uint32_t stackNeeded = 0;
-    std::uint32_t localsNeeded = 0;
     FieldId maxField = -1;
 };
 
 /**
- * Lowers expression trees into a shared code/literal pool. One
- * instance serves a whole design so literals dedupe across programs;
- * value numbering (and hence CSE locals) resets per program, matching
- * the runtime, where locals do not survive from one program to the
- * next.
+ * Lowers expression trees to postfix bytecode in a shared code/literal
+ * pool. One instance serves a whole design so literals dedupe across
+ * programs.
  */
 class ExprCompiler
 {
@@ -455,124 +385,34 @@ class ExprCompiler
     ProgramInfo
     compile(const ExprPtr &tree)
     {
+        static const std::vector<std::int64_t> kNoFields;
         panicIf(!tree, "ExprCompiler: null expression");
-        vnodes.clear();
-        keys.clear();
-        const int root = number(*tree);
-
         ProgramInfo info;
-        if (vnodes[root].op == Op::Const) {
+        if (tree->isConstant()) {
             info.kind = ProgramInfo::Kind::Const;
-            info.imm = vnodes[root].imm;
+            info.imm = tree->eval(kNoFields);
             return info;
         }
-        if (vnodes[root].op == Op::Field) {
+        if (tree->op() == Op::Field) {
             info.kind = ProgramInfo::Kind::Field;
-            info.field = vnodes[root].field;
-            info.maxField = vnodes[root].field;
+            info.field = tree->fieldId();
+            info.maxField = tree->fieldId();
             return info;
         }
-
-        // Reference counts over the deduped DAG decide which subtrees
-        // earn a scratch local (computed once, reloaded after).
-        for (const VNode &n : vnodes)
-            for (int kid : n.kids)
-                ++vnodes[kid].refs;
-        ++vnodes[root].refs;
 
         info.kind = ProgramInfo::Kind::Program;
         info.first = static_cast<std::uint32_t>(code.size());
         depth = 0;
         maxDepth = 0;
-        locals = 0;
         maxField = -1;
-        emitVn(root);
+        emit(*tree);
         info.count = static_cast<std::uint32_t>(code.size()) - info.first;
         info.stackNeeded = maxDepth;
-        info.localsNeeded = locals;
         info.maxField = maxField;
         return info;
     }
 
   private:
-    /** One structurally-unique subtree. */
-    struct VNode
-    {
-        Op op;
-        std::int64_t imm = 0;
-        FieldId field = -1;
-        std::vector<int> kids;
-        int refs = 0;
-        int slot = -1;  //!< Scratch local once emitted (CSE hits).
-        bool emitted = false;
-    };
-
-    /** Structural identity of a subtree, for value numbering. */
-    struct VKey
-    {
-        Op op;
-        std::int64_t imm;
-        FieldId field;
-        std::vector<int> kids;
-
-        bool
-        operator<(const VKey &o) const
-        {
-            if (op != o.op)
-                return op < o.op;
-            if (imm != o.imm)
-                return imm < o.imm;
-            if (field != o.field)
-                return field < o.field;
-            return kids < o.kids;
-        }
-    };
-
-    int
-    intern(const VKey &key)
-    {
-        const auto it = keys.find(key);
-        if (it != keys.end())
-            return it->second;
-        VNode n;
-        n.op = key.op;
-        n.imm = key.imm;
-        n.field = key.field;
-        n.kids = key.kids;
-        vnodes.push_back(std::move(n));
-        const int vn = static_cast<int>(vnodes.size()) - 1;
-        keys.emplace(key, vn);
-        return vn;
-    }
-
-    int
-    numberConst(std::int64_t v)
-    {
-        return intern({Op::Const, v, -1, {}});
-    }
-
-    int
-    number(const Expr &e)
-    {
-        if (e.op() == Op::Const)
-            return numberConst(e.constValue());
-        if (e.op() == Op::Field)
-            return intern({Op::Field, 0, e.fieldId(), {}});
-        // Defensive fold: factory-built trees are already folded, but
-        // compile anything (e.g. hand-assembled test trees) to the
-        // same bytecode a folded tree would get. eval() on a fieldless
-        // tree is the reference semantics, so no rule can drift.
-        if (e.isConstant()) {
-            static const std::vector<std::int64_t> kNoFields;
-            return numberConst(e.eval(kNoFields));
-        }
-        VKey key{e.op(), 0, -1, {}};
-        key.kids.reserve(e.args().size());
-        for (const ExprPtr &c : e.args())
-            key.kids.push_back(number(*c));
-        return intern(key);
-    }
-
     int
     poolIndex(std::int64_t v)
     {
@@ -586,7 +426,7 @@ class ExprCompiler
     }
 
     void
-    push(BOp op, std::int32_t arg)
+    push(Op op, std::int32_t arg)
     {
         code.push_back({op, arg});
         ++depth;
@@ -594,46 +434,33 @@ class ExprCompiler
     }
 
     void
-    emitVn(int vn)
+    emit(const Expr &e)
     {
-        VNode &n = vnodes[vn];
-        if (n.slot >= 0) {
-            push(BOp::LoadLocal, n.slot);
+        // Defensive fold: factory-built trees are already folded, but
+        // compile anything (e.g. hand-assembled test trees) to the
+        // same bytecode a folded tree would get. eval() on a fieldless
+        // tree is the reference semantics, so no rule can drift.
+        if (e.isConstant()) {
+            static const std::vector<std::int64_t> kNoFields;
+            push(Op::Const, poolIndex(e.eval(kNoFields)));
             return;
         }
-        switch (n.op) {
-          case Op::Const:
-            push(BOp::PushConst, poolIndex(n.imm));
-            break;
-          case Op::Field:
-            push(BOp::PushField, n.field);
-            maxField = std::max(maxField, n.field);
-            break;
-          default: {
-            for (int kid : n.kids)
-                emitVn(kid);
-            code.push_back({lowerOp(n.op), 0});
-            depth -= static_cast<std::uint32_t>(n.kids.size()) - 1;
-            break;
-          }
+        if (e.op() == Op::Field) {
+            push(Op::Field, e.fieldId());
+            maxField = std::max(maxField, e.fieldId());
+            return;
         }
-        // A multiply-referenced interior value gets a tee into a
-        // scratch slot; later references reload instead of recompute.
-        // Leaves stay inline — a reload costs the same as a push.
-        if (n.refs > 1 && n.op != Op::Const && n.op != Op::Field) {
-            n.slot = static_cast<int>(locals++);
-            code.push_back({BOp::StoreLocal, n.slot});
-        }
+        for (const ExprPtr &k : e.args())
+            emit(*k);
+        code.push_back({e.op(), 0});
+        depth -= static_cast<std::uint32_t>(e.args().size()) - 1;
     }
 
     std::vector<BInstr> &code;
     std::vector<std::int64_t> &pool;
     std::map<std::int64_t, int> poolSlots;
-    std::vector<VNode> vnodes;
-    std::map<VKey, int> keys;
     std::uint32_t depth = 0;
     std::uint32_t maxDepth = 0;
-    std::uint32_t locals = 0;
     FieldId maxField = -1;
 };
 
@@ -668,7 +495,6 @@ ExprProgram::ExprProgram(const ExprPtr &tree)
     ExprCompiler comp(code, pool);
     const ProgramInfo info = comp.compile(tree);
     stackNeeded = info.stackNeeded;
-    localsNeeded = info.localsNeeded;
     maxField = info.maxField;
     switch (info.kind) {
       case ProgramInfo::Kind::Const:
@@ -696,10 +522,9 @@ ExprProgram::eval(const std::vector<std::int64_t> &fields) const
         return imm;
     if (kind == 2)
         return fields[fieldRef];
-    std::vector<std::int64_t> scratch(stackNeeded + localsNeeded);
+    std::vector<std::int64_t> stack(stackNeeded);
     return execProgram(code.data(), code.size(), pool.data(),
-                       fields.data(), scratch.data(),
-                       scratch.data() + stackNeeded);
+                       fields.data(), stack.data());
 }
 
 CompiledDesign::CompiledDesign(const Design &design)
@@ -716,43 +541,33 @@ CompiledDesign::CompiledDesign(const Design &design)
     const auto &counters = design.counters();
     const auto &blocks = design.blocks();
 
-    // Lower one expression tree to a typed CExpr node, recursively
-    // appending child nodes first (so every child index is smaller
-    // than its parent's). Design expressions are overwhelmingly
-    // affine cost models, leaf-binary guards, and selects over those
-    // shapes, so nearly everything lands in a specialised node; the
-    // bytecode program remains as the fully general fallback.
-    auto addProgram = [&](auto &&self,
-                          const ExprPtr &tree) -> std::int32_t {
+    // Lower @p tree to a leaf node when it has a leaf shape: a literal,
+    // a field read, an affine form (merged terms returned in @p terms,
+    // placed in the pool only when the node is pushed), or one
+    // field-op-constant binary.
+    const auto lowerLeaf = [&](const Expr &tree, CExpr &e,
+                               std::vector<CTerm> &terms) -> bool {
         static const std::vector<std::int64_t> kNoFields;
-        panicIf(!tree, "CompiledDesign: null expression");
-        CExpr e;
-
-        if (tree->isConstant()) {
+        if (tree.isConstant()) {
             e.kind = CExpr::Kind::Const;
-            e.imm = tree->eval(kNoFields);
-            programs.push_back(e);
-            return static_cast<std::int32_t>(programs.size()) - 1;
+            e.imm = tree.eval(kNoFields);
+            return true;
         }
 
-        // Specialised nodes bypass ExprCompiler, so account for the
-        // fields they read here.
-        maxFieldRead = std::max(maxFieldRead, maxFieldOf(*tree));
-
         // Mode-table select chains may fold into affine terms only
-        // when the root stays exhaustively provable (see
+        // when the tree stays exhaustively provable (see
         // fieldDomainProduct); plain affine shapes always fold.
         const bool fold_chains =
-            fieldDomainProduct(*tree, src->fieldBounds(),
+            fieldDomainProduct(tree, src->fieldBounds(),
                                kMaxFoldDomain) <= kMaxFoldDomain;
         std::int64_t imm = 0;
-        std::vector<ATerm> terms;
-        if (collectAffine(*tree, 1, imm, terms, fold_chains)) {
+        std::vector<ATerm> raw;
+        if (collectAffine(tree, 1, imm, raw, fold_chains)) {
             // Merge identical-shape terms: s1*f + s2*f == (s1+s2)*f
             // mod 2^64, so folding coefficients (and conditional arms)
             // preserves the sum.
             std::vector<ATerm> merged;
-            for (const ATerm &t : terms) {
+            for (const ATerm &t : raw) {
                 bool found = false;
                 for (ATerm &m : merged) {
                     if (m.kind == t.kind && m.field == t.field &&
@@ -770,104 +585,90 @@ CompiledDesign::CompiledDesign(const Design &design)
                 merged[0].a == 1 && imm == 0) {
                 e.kind = CExpr::Kind::Field;
                 e.field = merged[0].field;
-            } else {
-                e.kind = CExpr::Kind::Affine;
-                e.imm = imm;
-                e.first =
-                    static_cast<std::uint32_t>(affinePool.size());
-                e.count = static_cast<std::uint32_t>(merged.size());
-                for (const ATerm &m : merged) {
-                    CTerm ct;
-                    ct.a = m.a;
-                    ct.b = m.b;
-                    ct.z = m.z;
-                    ct.field = m.field;
-                    ct.cmp = m.cmp;
-                    ct.kind = static_cast<CTerm::Kind>(m.kind);
-                    affinePool.push_back(ct);
-                }
+                return true;
             }
-            programs.push_back(e);
-            return static_cast<std::int32_t>(programs.size()) - 1;
+            e.kind = CExpr::Kind::Affine;
+            e.imm = imm;
+            for (const ATerm &m : merged) {
+                CTerm ct;
+                ct.a = m.a;
+                ct.b = m.b;
+                ct.z = m.z;
+                ct.field = m.field;
+                ct.cmp = m.cmp;
+                ct.kind = static_cast<CTerm::Kind>(m.kind);
+                terms.push_back(ct);
+            }
+            return true;
         }
 
-        const auto &kids = tree->args();
-        switch (tree->op()) {
-          case Op::Not:
-            e.kind = CExpr::Kind::Not1;
-            e.a = self(self, kids[0]);
-            break;
-          case Op::Select:
-            e.kind = CExpr::Kind::Select3;
-            e.a = self(self, kids[0]);
-            e.b = self(self, kids[1]);
-            e.c = self(self, kids[2]);
-            break;
-          case Op::Add: case Op::Sub: case Op::Mul: case Op::Div:
-          case Op::Mod: case Op::Min: case Op::Max: case Op::Eq:
-          case Op::Ne: case Op::Lt: case Op::Le: case Op::Gt:
-          case Op::Ge: case Op::And: case Op::Or: {
-            e.op = lowerOp(tree->op());
-            const Expr &l = *kids[0];
-            const Expr &r = *kids[1];
-            const bool lf = l.op() == Op::Field;
-            const bool rf = r.op() == Op::Field;
-            if (lf && rf) {
-                e.kind = CExpr::Kind::BinFF;
-                e.field = l.fieldId();
-                e.fieldB = r.fieldId();
-            } else if (lf && r.isConstant()) {
-                e.kind = CExpr::Kind::BinFC;
-                e.field = l.fieldId();
-                e.imm = r.eval(kNoFields);
-            } else if (l.isConstant() && rf) {
-                e.kind = CExpr::Kind::BinCF;
-                e.imm = l.eval(kNoFields);
-                e.fieldB = r.fieldId();
-            } else if (treeSize(*tree) <= 5) {
-                e.kind = CExpr::Kind::Bin2;
-                e.a = self(self, kids[0]);
-                e.b = self(self, kids[1]);
-            } else {
-                // Deep arithmetic: one flat bytecode program beats a
-                // chain of out-of-line Bin2 recursions.
-                goto fallback;
-            }
-            break;
-          }
-          default: {
-          fallback:
-            // Anything else runs through the bytecode compiler.
-            const ProgramInfo info = comp.compile(tree);
-            switch (info.kind) {
-              case ProgramInfo::Kind::Const:
-                e.kind = CExpr::Kind::Const;
-                e.imm = info.imm;
-                break;
-              case ProgramInfo::Kind::Field:
-                e.kind = CExpr::Kind::Field;
-                e.field = info.field;
-                break;
-              case ProgramInfo::Kind::Program:
-                e.kind = CExpr::Kind::Program;
-                e.first = info.first;
-                e.count = info.count;
-                break;
-            }
-            maxStack = std::max(maxStack, info.stackNeeded);
-            maxLocals = std::max(maxLocals, info.localsNeeded);
-            break;
-          }
+        const auto &kids = tree.args();
+        if (kids.size() == 2 && kids[0]->op() == Op::Field &&
+            kids[1]->isConstant()) {
+            e.kind = CExpr::Kind::BinFC;
+            e.op = tree.op();
+            e.field = kids[0]->fieldId();
+            e.imm = kids[1]->eval(kNoFields);
+            return true;
+        }
+        return false;
+    };
+
+    const auto pushNode = [&](CExpr e, const std::vector<CTerm> &terms) {
+        if (e.kind == CExpr::Kind::Affine) {
+            e.first = static_cast<std::uint32_t>(affinePool.size());
+            e.count = static_cast<std::uint32_t>(terms.size());
+            affinePool.insert(affinePool.end(), terms.begin(),
+                              terms.end());
         }
         programs.push_back(e);
         return static_cast<std::int32_t>(programs.size()) - 1;
     };
 
-    // Top-level entry point: compile and remember the (tree, program)
-    // pair so differential tests and the perf harness can replay every
-    // root expression of the design against its source tree.
-    auto addRoot = [&](const ExprPtr &tree) -> std::int32_t {
-        const std::int32_t idx = addProgram(addProgram, tree);
+    // A Bin2 operand is a leaf over at most one operator: constants
+    // and fields under it, nothing deeper.
+    const auto shallow = [](const Expr &tree) {
+        for (const ExprPtr &k : tree.args())
+            if (!k->args().empty() && !k->isConstant())
+                return false;
+        return true;
+    };
+
+    // Lower one root expression tree to exactly one of the three
+    // shapes (see CExpr): a leaf, a Bin2 over two shallow leaf
+    // operands (children appended first, so every child index is
+    // smaller than its parent's), or a bytecode program. Then
+    // remember the (tree, program) pair so differential tests and the
+    // perf harness can replay every root against its source tree.
+    const auto addRoot = [&](const ExprPtr &tree) -> std::int32_t {
+        panicIf(!tree, "CompiledDesign: null expression");
+        maxFieldRead = std::max(maxFieldRead, maxFieldOf(*tree));
+        std::int32_t idx = -1;
+        CExpr e;
+        std::vector<CTerm> terms;
+        CExpr l;
+        CExpr r;
+        std::vector<CTerm> lterms;
+        std::vector<CTerm> rterms;
+        const auto &kids = tree->args();
+        if (lowerLeaf(*tree, e, terms)) {
+            idx = pushNode(e, terms);
+        } else if (kids.size() == 2 && shallow(*kids[0]) &&
+                   shallow(*kids[1]) && lowerLeaf(*kids[0], l, lterms) &&
+                   lowerLeaf(*kids[1], r, rterms)) {
+            e.kind = CExpr::Kind::Bin2;
+            e.op = tree->op();
+            e.a = pushNode(l, lterms);
+            e.b = pushNode(r, rterms);
+            idx = pushNode(e, {});
+        } else {
+            const ProgramInfo info = comp.compile(tree);
+            e.kind = CExpr::Kind::Program;
+            e.first = info.first;
+            e.count = info.count;
+            maxStack = std::max(maxStack, info.stackNeeded);
+            idx = pushNode(e, {});
+        }
         roots.emplace_back(tree, idx);
         return idx;
     };
@@ -1399,30 +1200,14 @@ CompiledDesign::numSpecialised() const
 
 std::int64_t
 CompiledDesign::evalExpr(const CExpr &e, const std::int64_t *fields,
-                         std::int64_t *stack, std::int64_t *locals) const
+                         std::int64_t *stack) const
 {
-    if (e.kind <= CExpr::Kind::BinCF)
-        return evalLeaf(e, fields);
-    // Superinstruction dispatch: leaf children (the overwhelmingly
-    // common case — Affine/Select3 and leaf-binary pairs) evaluate
-    // through the always-inlined evalLeaf instead of a recursive call.
-    const auto sub = [&](std::int32_t idx) {
-        const CExpr &k = programs[idx];
-        return k.kind <= CExpr::Kind::BinCF
-            ? evalLeaf(k, fields)
-            : evalExpr(k, fields, stack, locals);
-    };
-    switch (e.kind) {
-      case CExpr::Kind::Bin2:
-        return applyBOp(e.op, sub(e.a), sub(e.b));
-      case CExpr::Kind::Not1:
-        return sub(e.a) == 0 ? 1 : 0;
-      case CExpr::Kind::Select3:
-        return sub(e.a) != 0 ? sub(e.b) : sub(e.c);
-      default:
-        return execProgram(code.data() + e.first, e.count, pool.data(),
-                           fields, stack, locals);
+    if (e.kind == CExpr::Kind::Bin2) {
+        return applyBinary(e.op, evalLeaf(programs[e.a], fields),
+                           evalLeaf(programs[e.b], fields));
     }
+    return execProgram(code.data() + e.first, e.count, pool.data(), fields,
+                       stack);
 }
 
 template <bool WithRec>
@@ -1430,7 +1215,7 @@ std::uint64_t
 CompiledDesign::runFsm(FsmId id, StateId start,
                        const std::int64_t *fields,
                        Recorder *recorder, double &energy_units,
-                       std::int64_t *stack, std::int64_t *locals) const
+                       std::int64_t *stack) const
 {
     const CFsm &fsm = cfsms[id];
     const CState *base = states.data() + fsm.firstState;
@@ -1472,9 +1257,7 @@ CompiledDesign::runFsm(FsmId id, StateId start,
                         continue;
                     const CSlot &s = spool[r.dynSlot];
                     const CExpr &pe = programs[s.prog];
-                    std::int64_t v = pe.kind <= CExpr::Kind::BinCF
-                        ? evalLeaf(pe, fields)
-                        : evalExpr(pe, fields, stack, locals);
+                    std::int64_t v = evalNode(pe, fields, stack);
                     if (v < 1)
                         v = 1;
                     std::uint64_t dwell;
@@ -1515,9 +1298,7 @@ CompiledDesign::runFsm(FsmId id, StateId start,
                 // Dwell-dynamic slot: same evaluation and clamping as
                 // the interpreted path below.
                 const CExpr &pe = programs[s.prog];
-                std::int64_t v = pe.kind <= CExpr::Kind::BinCF
-                    ? evalLeaf(pe, fields)
-                    : evalExpr(pe, fields, stack, locals);
+                std::int64_t v = evalNode(pe, fields, stack);
                 if (v < 1)
                     v = 1;
                 std::uint64_t dwell;
@@ -1567,9 +1348,7 @@ CompiledDesign::runFsm(FsmId id, StateId start,
             dwell = st.fixedDwell;
         } else if (st.kind == LatencyKind::CounterWait) {
             const CExpr &pe = programs[st.prog];
-            std::int64_t range = pe.kind <= CExpr::Kind::BinCF
-                ? evalLeaf(pe, fields)
-                : evalExpr(pe, fields, stack, locals);
+            std::int64_t range = evalNode(pe, fields, stack);
             if (range < 1)
                 range = 1;
             if (st.armOnly) {
@@ -1589,9 +1368,7 @@ CompiledDesign::runFsm(FsmId id, StateId start,
             }
         } else {
             const CExpr &pe = programs[st.prog];
-            std::int64_t lat = pe.kind <= CExpr::Kind::BinCF
-                ? evalLeaf(pe, fields)
-                : evalExpr(pe, fields, stack, locals);
+            std::int64_t lat = evalNode(pe, fields, stack);
             if (lat < 1)
                 lat = 1;
             dwell = static_cast<std::uint64_t>(lat);
@@ -1611,9 +1388,7 @@ CompiledDesign::runFsm(FsmId id, StateId start,
                 break;
             }
             const CExpr &ge = programs[tr[i].guard];
-            const std::int64_t g = ge.kind <= CExpr::Kind::BinCF
-                ? evalLeaf(ge, fields)
-                : evalExpr(ge, fields, stack, locals);
+            const std::int64_t g = evalNode(ge, fields, stack);
             if (g != 0) {
                 next = tr[i].dst;
                 break;
@@ -1649,9 +1424,8 @@ CompiledDesign::runJob(const JobInput &job, Recorder *recorder,
 
     // One allocation per job, reused by every program evaluation; the
     // per-item and per-state paths below are allocation-free.
-    std::vector<std::int64_t> scratch(maxStack + maxLocals);
+    std::vector<std::int64_t> scratch(maxStack);
     std::int64_t *stack = scratch.data();
-    std::int64_t *locals = scratch.data() + maxStack;
     std::vector<std::uint64_t> end_time(cfsms.size(), 0);
 
     for (const WorkItem &item : job.items) {
@@ -1670,7 +1444,7 @@ CompiledDesign::runJob(const JobInput &job, Recorder *recorder,
             const std::uint64_t lat =
                 runFsm<WithRec>(id, cfsms[id].initial,
                                 item.fields.data(), recorder,
-                                result.energyUnits, stack, locals);
+                                result.energyUnits, stack);
             end_time[id] = start + lat;
             item_latency = std::max(item_latency, end_time[id]);
         }
@@ -1719,16 +1493,14 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
         max_items = std::max(max_items, jobs[l]->items.size());
     }
 
-    std::vector<std::int64_t> scratch(maxStack + maxLocals);
+    std::vector<std::int64_t> scratch(maxStack);
     std::int64_t *stack = scratch.data();
-    std::int64_t *locals = scratch.data() + maxStack;
 
     std::vector<std::size_t> active(n);
     std::vector<const std::int64_t *> fptr(n);
     std::vector<std::int64_t> fieldsT(nf * n);
     std::vector<std::int64_t> v(n);
-    std::vector<std::int64_t> u(n);   //!< Superinstruction operand 1.
-    std::vector<std::int64_t> w(n);   //!< Superinstruction operand 2.
+    std::vector<std::int64_t> u(n);   //!< Bin2 left operand.
     std::vector<std::size_t> spec(n); //!< Still-speculating lane set.
     std::vector<std::uint64_t> lat(n);
     std::vector<double> estep(n);
@@ -1768,14 +1540,14 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
                         dst[j] += F[j] != 0 ? m.a : m.b;
                     break;
                   case CTerm::Kind::CondCmp:
-                    if (m.cmp == BOp::Eq) {
+                    if (m.cmp == Op::Eq) {
                         // The mode-table shape: a direct compare
                         // beats the generic op dispatch.
                         for (std::size_t j = 0; j < A; ++j)
                             dst[j] += F[j] == m.z ? m.a : m.b;
                     } else {
                         for (std::size_t j = 0; j < A; ++j)
-                            dst[j] += applyBOp(m.cmp, F[j], m.z) != 0
+                            dst[j] += applyBinary(m.cmp, F[j], m.z) != 0
                                 ? m.a : m.b;
                     }
                     break;
@@ -1783,81 +1555,37 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
             }
             break;
           }
-          case CExpr::Kind::BinFF: {
-            const std::int64_t *Fa =
-                fieldsT.data() + static_cast<std::size_t>(pe.field) * A;
-            const std::int64_t *Fb =
-                fieldsT.data() + static_cast<std::size_t>(pe.fieldB) * A;
-            for (std::size_t j = 0; j < A; ++j)
-                dst[j] = applyBOp(pe.op, Fa[j], Fb[j]);
-            break;
-          }
-          case CExpr::Kind::BinFC: {
+          default: {  // BinFC; callers never pass Bin2 or Program.
             const std::int64_t *F =
                 fieldsT.data() + static_cast<std::size_t>(pe.field) * A;
             for (std::size_t j = 0; j < A; ++j)
-                dst[j] = applyBOp(pe.op, F[j], pe.imm);
-            break;
-          }
-          default: {  // BinCF; callers never pass recursive kinds.
-            const std::int64_t *F =
-                fieldsT.data() + static_cast<std::size_t>(pe.fieldB) * A;
-            for (std::size_t j = 0; j < A; ++j)
-                dst[j] = applyBOp(pe.op, pe.imm, F[j]);
+                dst[j] = applyBinary(pe.op, F[j], pe.imm);
             break;
           }
         }
     };
 
     // Evaluate one dwell/guard program for lanes [0, A): values into
-    // v. Leaf kinds vectorise directly; one-level composites over
-    // leaf children (the Select3/Bin2 superinstructions) evaluate
-    // both operands lane-wise and blend — exact, because every
-    // expression is pure and total, so evaluating an untaken select
-    // arm cannot change the selected lane value. Only deeper shapes
-    // fall back to per-lane recursive evaluation over the lane's
-    // original (AoS) field array.
+    // v. Leaves vectorise directly; a Bin2 evaluates both leaf
+    // operands lane-wise and combines them. Only bytecode programs
+    // fall back to per-lane evaluation over the lane's original (AoS)
+    // field array.
     const auto evalLanes = [&](const CExpr &pe, std::size_t A) {
-        if (pe.kind <= CExpr::Kind::BinCF) {
-            evalLeafLanes(pe, A, v.data());
-            return;
-        }
         switch (pe.kind) {
           case CExpr::Kind::Bin2:
-            if (programs[pe.a].kind <= CExpr::Kind::BinCF &&
-                programs[pe.b].kind <= CExpr::Kind::BinCF) {
-                evalLeafLanes(programs[pe.a], A, u.data());
-                evalLeafLanes(programs[pe.b], A, v.data());
-                for (std::size_t j = 0; j < A; ++j)
-                    v[j] = applyBOp(pe.op, u[j], v[j]);
-                return;
-            }
+            evalLeafLanes(programs[pe.a], A, u.data());
+            evalLeafLanes(programs[pe.b], A, v.data());
+            for (std::size_t j = 0; j < A; ++j)
+                v[j] = applyBinary(pe.op, u[j], v[j]);
             break;
-          case CExpr::Kind::Not1:
-            if (programs[pe.a].kind <= CExpr::Kind::BinCF) {
-                evalLeafLanes(programs[pe.a], A, v.data());
-                for (std::size_t j = 0; j < A; ++j)
-                    v[j] = v[j] == 0 ? 1 : 0;
-                return;
-            }
-            break;
-          case CExpr::Kind::Select3:
-            if (programs[pe.a].kind <= CExpr::Kind::BinCF &&
-                programs[pe.b].kind <= CExpr::Kind::BinCF &&
-                programs[pe.c].kind <= CExpr::Kind::BinCF) {
-                evalLeafLanes(programs[pe.a], A, u.data());
-                evalLeafLanes(programs[pe.b], A, w.data());
-                evalLeafLanes(programs[pe.c], A, v.data());
-                for (std::size_t j = 0; j < A; ++j)
-                    v[j] = u[j] != 0 ? w[j] : v[j];
-                return;
-            }
+          case CExpr::Kind::Program:
+            for (std::size_t j = 0; j < A; ++j)
+                v[j] = evalExpr(pe, fptr[j], stack);
             break;
           default:
+            evalLeafLanes(pe, A, v.data());
             break;
         }
-        for (std::size_t j = 0; j < A; ++j)
-            v[j] = evalExpr(pe, fptr[j], stack, locals);
     };
 
     // Clamp v to dwell and accumulate — the slot's counter/waitScale
@@ -2078,7 +1806,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
                             taken ? nd.takenDst : nd.notDst;
                         lat[j] += runFsm<false>(id, actual, fptr[j],
                                                 nullptr, estep[j],
-                                                stack, locals);
+                                                stack);
                         if (stats)
                             ++stats->fsms[id].mispredicts;
                     }
@@ -2094,8 +1822,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
             } else {
                 for (std::size_t j = 0; j < A; ++j)
                     lat[j] = runFsm<false>(id, fsm.initial, fptr[j],
-                                           nullptr, estep[j], stack,
-                                           locals);
+                                           nullptr, estep[j], stack);
                 if (stats)
                     stats->fsms[id].scalarLaneItems += A;
             }

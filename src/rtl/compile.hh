@@ -6,14 +6,14 @@
  * scattered heap nodes on every guard test, counter arm, and implicit
  * latency — per state visit, per work item, per job. This pass lowers
  * each expression once into a flat postfix program (a contiguous
- * vector of 8-byte instructions) evaluated by a small stack machine
- * with no allocation, no recursion, and no pointer chasing:
+ * vector of 8-byte instructions whose opcodes are the tree's own Op
+ * tags) evaluated by a small stack machine with no allocation, no
+ * recursion, and no pointer chasing:
  *
- *  - constant subtrees fold to a single PushConst (the factory
- *    functions already fold; the compiler folds again defensively so
- *    pre-folding trees, e.g. deserialised ones, compile identically);
- *  - common subtrees are value-numbered and computed once, with
- *    StoreLocal/LoadLocal spilling through a scratch slot;
+ *  - constant subtrees fold to a single push of a pooled literal (the
+ *    factory functions already fold; the compiler folds again
+ *    defensively so pre-folding trees, e.g. deserialised ones, compile
+ *    identically);
  *  - programs that reduce to a literal or a single field read skip the
  *    dispatch loop entirely.
  *
@@ -62,25 +62,15 @@
 namespace predvfs {
 namespace rtl {
 
-/** Bytecode operations of the expression stack machine. */
-enum class BOp : std::uint8_t
-{
-    PushConst,   //!< Push pool[arg].
-    PushField,   //!< Push fields[arg].
-    LoadLocal,   //!< Push locals[arg] (a CSE'd subtree value).
-    StoreLocal,  //!< locals[arg] = top of stack (value stays pushed).
-    Add, Sub, Mul, Div, Mod,   //!< Pop b, a; push a op b (safeDiv/Mod).
-    Min, Max,
-    Eq, Ne, Lt, Le, Gt, Ge,    //!< Pop b, a; push 0/1.
-    And, Or,                   //!< Pop b, a; push boolean combine.
-    Not,                       //!< Pop a; push a == 0.
-    Select,                    //!< Pop e, t, c; push c != 0 ? t : e.
-};
-
-/** One bytecode instruction; arg indexes the pool/fields/locals. */
+/**
+ * One bytecode instruction. The opcode is the tree operator itself:
+ * Const pushes pool[arg], Field pushes fields[arg], Not and Select pop
+ * one and three operands, every other operator pops b, a and pushes
+ * applyBinary(op, a, b).
+ */
 struct BInstr
 {
-    BOp op;
+    Op op;
     std::int32_t arg = 0;
 };
 
@@ -139,37 +129,6 @@ struct BatchStats
 };
 
 /**
- * Apply one binary bytecode op — semantics identical to the stack
- * machine's. Inline in the header so the specialised evaluators in
- * the hot per-visit paths compile down to the bare operation.
- */
-[[gnu::always_inline]] inline std::int64_t
-applyBOp(BOp op, std::int64_t a, std::int64_t b)
-{
-    switch (op) {
-      case BOp::Add: return a + b;
-      case BOp::Sub: return a - b;
-      case BOp::Mul: return a * b;
-      case BOp::Div: return safeDiv(a, b);
-      case BOp::Mod: return safeMod(a, b);
-      case BOp::Min: return a < b ? a : b;
-      case BOp::Max: return a > b ? a : b;
-      case BOp::Eq: return a == b ? 1 : 0;
-      case BOp::Ne: return a != b ? 1 : 0;
-      case BOp::Lt: return a < b ? 1 : 0;
-      case BOp::Le: return a <= b ? 1 : 0;
-      case BOp::Gt: return a > b ? 1 : 0;
-      case BOp::Ge: return a >= b ? 1 : 0;
-      case BOp::And: return (a != 0 && b != 0) ? 1 : 0;
-      case BOp::Or: return (a != 0 || b != 0) ? 1 : 0;
-      default:
-        util::panic("applyBOp: not a binary op ",
-                    static_cast<int>(op));
-    }
-    return 0;
-}
-
-/**
  * A self-contained compiled expression for tests and tools: owns its
  * code and allocates scratch per eval() call. The hot path inside
  * CompiledDesign shares pools across all of a design's programs
@@ -186,14 +145,10 @@ class ExprProgram
     /** @return instruction count (0 for const/field-specialised). */
     std::size_t codeLength() const { return code.size(); }
 
-    /** @return CSE scratch slots the program uses. */
-    std::size_t numLocals() const { return localsNeeded; }
-
   private:
     std::vector<BInstr> code;
     std::vector<std::int64_t> pool;
     std::uint32_t stackNeeded = 0;
-    std::uint32_t localsNeeded = 0;
     FieldId maxField = -1;  //!< Highest field the program reads.
     // Specialisations: kind 0 = program, 1 = constant, 2 = field.
     int kind = 0;
@@ -201,16 +156,15 @@ class ExprProgram
     FieldId fieldRef = -1;
 };
 
-// Translation validation (rtl/verify.hh). The validator and the
-// mutation harness inspect/corrupt the private compiled tables, so the
-// compiler grants them friendship instead of exposing the internals.
+// Translation validation (rtl/verify.hh) and the test-only mutation
+// harness (tests/support/miscompile.hh) inspect/corrupt the private
+// compiled tables, so the compiler grants them friendship instead of
+// exposing the internals.
 class CompiledDesign;
 struct VerifyReport;
 enum class Miscompile;
 class Verifier;
 VerifyReport verifyCompiledDesign(const CompiledDesign &comp);
-std::string injectMiscompile(CompiledDesign &comp, Miscompile kind,
-                             unsigned seed);
 
 /**
  * A whole Design lowered to bytecode. Construction compiles every
@@ -352,7 +306,7 @@ class CompiledDesign
     }
 
     /** Scratch slots evalProgram() needs (allocate once, reuse). */
-    std::size_t scratchSize() const { return maxStack + maxLocals; }
+    std::size_t scratchSize() const { return maxStack; }
 
     /**
      * Evaluate one compiled program against a field vector. @p scratch
@@ -363,10 +317,7 @@ class CompiledDesign
     evalProgram(std::size_t idx, const std::int64_t *fields,
                 std::int64_t *scratch) const
     {
-        const CExpr &e = programs[idx];
-        if (e.kind <= CExpr::Kind::BinCF)
-            return evalLeaf(e, fields);
-        return evalExpr(e, fields, scratch, scratch + maxStack);
+        return evalNode(programs[idx], fields, scratch);
     }
     /// @}
 
@@ -379,16 +330,17 @@ class CompiledDesign
                                         Miscompile kind, unsigned seed);
 
     /**
-     * A compiled expression: a typed node in a flat DAG. Design
-     * expressions are small (affine cost models, select-based mode
-     * tables, threshold guards), so instead of running them through
-     * the generic bytecode dispatch loop, the design compiler lowers
-     * each one to nodes the evaluator handles with straight-line code:
-     * affine forms become a constant plus (coefficient, field) pairs,
-     * one binary op over two leaves becomes a direct computation, and
-     * selects/general binaries recurse through child node indices
-     * (depth is the tree depth, a handful at most). The bytecode
-     * program kind remains as the fully general fallback.
+     * A compiled expression: a typed node in a flat table. Design
+     * expressions are small (affine cost models, field-vs-constant
+     * guards), so instead of running them through the bytecode
+     * dispatch loop, the design compiler lowers each one to exactly one
+     * of three shapes the evaluator handles with straight-line code:
+     *
+     *  - a leaf (Const, Field, Affine, BinFC), read straight from the
+     *    item's fields;
+     *  - a Bin2 whose two child nodes are both leaves, evaluated
+     *    without recursion;
+     *  - a bytecode Program, the fully general fallback.
      */
     struct CExpr
     {
@@ -397,22 +349,16 @@ class CompiledDesign
             Const,      //!< imm.
             Field,      //!< fields[field].
             Affine,     //!< imm + sum of affinePool[first..] terms.
-            BinFF,      //!< fields[field] op fields[fieldB].
             BinFC,      //!< fields[field] op imm.
-            BinCF,      //!< imm op fields[fieldB].
-            Bin2,       //!< eval(a) op eval(b).
-            Not1,       //!< eval(a) == 0.
-            Select3,    //!< eval(a) != 0 ? eval(b) : eval(c).
+            Bin2,       //!< leaf(a) op leaf(b).
             Program,    //!< Full bytecode program.
         };
         Kind kind = Kind::Const;
-        BOp op = BOp::Add;        //!< Binary specialisations.
+        Op op = Op::Add;          //!< BinFC / Bin2 operator.
         FieldId field = -1;
-        FieldId fieldB = -1;
         std::int64_t imm = 0;
-        std::int32_t a = -1;      //!< Child node indices (Bin2, Not1,
-        std::int32_t b = -1;      //!< Select3).
-        std::int32_t c = -1;
+        std::int32_t a = -1;      //!< Bin2 leaf child node indices.
+        std::int32_t b = -1;
         std::uint32_t first = 0;  //!< Code pool offset / affine pool.
         std::uint32_t count = 0;  //!< Instruction / term count.
     };
@@ -437,7 +383,7 @@ class CompiledDesign
         std::int64_t b = 0;
         std::int64_t z = 0;       //!< CondCmp comparison operand.
         FieldId field = -1;
-        BOp cmp = BOp::Eq;        //!< CondCmp comparison.
+        Op cmp = Op::Eq;          //!< CondCmp comparison.
         Kind kind = Kind::Linear;
     };
 
@@ -532,7 +478,7 @@ class CompiledDesign
     /**
      * Evaluate a flat (non-recursive) node. Defined in-class so every
      * per-visit call site inlines down to the bare loads and ops; the
-     * caller guarantees `e.kind <= Kind::BinCF`.
+     * caller guarantees `e.kind <= Kind::BinFC`.
      */
     [[gnu::always_inline]] std::int64_t
     evalLeaf(const CExpr &e, const std::int64_t *fields) const
@@ -555,25 +501,33 @@ class CompiledDesign
                     v += fields[m.field] != 0 ? m.a : m.b;
                     break;
                   case CTerm::Kind::CondCmp:
-                    v += applyBOp(m.cmp, fields[m.field], m.z) != 0
+                    v += applyBinary(m.cmp, fields[m.field], m.z) != 0
                         ? m.a : m.b;
                     break;
                 }
             }
             return v;
           }
-          case CExpr::Kind::BinFF:
-            return applyBOp(e.op, fields[e.field], fields[e.fieldB]);
-          case CExpr::Kind::BinFC:
-            return applyBOp(e.op, fields[e.field], e.imm);
-          default:  // BinCF; callers never pass recursive kinds.
-            return applyBOp(e.op, e.imm, fields[e.fieldB]);
+          default:  // BinFC; callers never pass Bin2 or Program.
+            return applyBinary(e.op, fields[e.field], e.imm);
         }
     }
 
+    /** Evaluate a Bin2 or Program node (out of line). */
     std::int64_t evalExpr(const CExpr &e, const std::int64_t *fields,
-                          std::int64_t *stack,
-                          std::int64_t *locals) const;
+                          std::int64_t *stack) const;
+
+    /**
+     * Evaluate any node: leaves inline, Bin2 and Program out of line.
+     * @p stack must hold scratchSize() elements.
+     */
+    [[gnu::always_inline]] std::int64_t
+    evalNode(const CExpr &e, const std::int64_t *fields,
+             std::int64_t *stack) const
+    {
+        return e.kind <= CExpr::Kind::BinFC ? evalLeaf(e, fields)
+                                            : evalExpr(e, fields, stack);
+    }
 
     /**
      * The statically-routed walk of one FSM, when it exists: the
@@ -656,8 +610,7 @@ class CompiledDesign
     std::uint64_t runFsm(FsmId id, StateId start,
                          const std::int64_t *fields,
                          Recorder *recorder, double &energy_units,
-                         std::int64_t *stack,
-                         std::int64_t *locals) const;
+                         std::int64_t *stack) const;
 
     template <bool WithRec>
     JobResult runJob(const JobInput &job, Recorder *recorder,
@@ -685,7 +638,6 @@ class CompiledDesign
     //! Top-level (tree, program) pairs, in compile order.
     std::vector<std::pair<ExprPtr, std::int32_t>> roots;
     std::uint32_t maxStack = 0;
-    std::uint32_t maxLocals = 0;
     FieldId maxFieldRead = -1;
     std::uint64_t jobOverhead = 0;
     double ctrlEnergy = 0.0;

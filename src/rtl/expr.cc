@@ -9,37 +9,6 @@ namespace rtl {
 
 namespace {
 
-/**
- * Apply one binary operator to concrete values — the same semantics
- * Expr::eval() implements, shared with constant folding so a folded
- * literal can never differ from an evaluated tree.
- */
-std::int64_t
-applyBinary(Op op, std::int64_t a, std::int64_t b)
-{
-    switch (op) {
-      case Op::Add: return a + b;
-      case Op::Sub: return a - b;
-      case Op::Mul: return a * b;
-      case Op::Div: return safeDiv(a, b);
-      case Op::Mod: return safeMod(a, b);
-      case Op::Min: return a < b ? a : b;
-      case Op::Max: return a > b ? a : b;
-      case Op::Eq: return a == b ? 1 : 0;
-      case Op::Ne: return a != b ? 1 : 0;
-      case Op::Lt: return a < b ? 1 : 0;
-      case Op::Le: return a <= b ? 1 : 0;
-      case Op::Gt: return a > b ? 1 : 0;
-      case Op::Ge: return a >= b ? 1 : 0;
-      case Op::And: return (a != 0 && b != 0) ? 1 : 0;
-      case Op::Or: return (a != 0 || b != 0) ? 1 : 0;
-      default:
-        util::panic("applyBinary: non-binary op ",
-                    static_cast<int>(op));
-    }
-    return 0;
-}
-
 bool
 isConst(const ExprPtr &e)
 {

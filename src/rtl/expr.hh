@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "util/logging.hh"
+
 namespace predvfs {
 namespace rtl {
 
@@ -30,8 +32,11 @@ class Expr;
 /** Expressions are immutable and shared; passes copy pointers freely. */
 using ExprPtr = std::shared_ptr<const Expr>;
 
-/** Operator tags for expression nodes. */
-enum class Op
+/**
+ * Operator tags for expression nodes. They double as the compiled
+ * bytecode's opcodes (rtl/compile), hence one byte and a fixed order.
+ */
+enum class Op : std::uint8_t
 {
     Const,   //!< Integer literal.
     Field,   //!< Read a work-item field.
@@ -77,6 +82,38 @@ safeMod(std::int64_t a, std::int64_t b)
     return a % b;
 }
 /// @}
+
+/**
+ * Apply one binary operator to concrete values — the semantics
+ * Expr::eval() implements, shared with constant folding and the
+ * compiled evaluators (rtl/compile) so no evaluator can drift from the
+ * tree. Inline so the compiled per-visit paths reduce to the bare op.
+ */
+[[gnu::always_inline]] inline std::int64_t
+applyBinary(Op op, std::int64_t a, std::int64_t b)
+{
+    switch (op) {
+      case Op::Add: return a + b;
+      case Op::Sub: return a - b;
+      case Op::Mul: return a * b;
+      case Op::Div: return safeDiv(a, b);
+      case Op::Mod: return safeMod(a, b);
+      case Op::Min: return a < b ? a : b;
+      case Op::Max: return a > b ? a : b;
+      case Op::Eq: return a == b ? 1 : 0;
+      case Op::Ne: return a != b ? 1 : 0;
+      case Op::Lt: return a < b ? 1 : 0;
+      case Op::Le: return a <= b ? 1 : 0;
+      case Op::Gt: return a > b ? 1 : 0;
+      case Op::Ge: return a >= b ? 1 : 0;
+      case Op::And: return (a != 0 && b != 0) ? 1 : 0;
+      case Op::Or: return (a != 0 || b != 0) ? 1 : 0;
+      default:
+        util::panic("applyBinary: non-binary op ",
+                    static_cast<int>(op));
+    }
+    return 0;
+}
 
 /**
  * An immutable expression-tree node.

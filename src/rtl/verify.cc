@@ -39,32 +39,6 @@ mulWrap(std::int64_t a, std::int64_t b)
                                      static_cast<std::uint64_t>(b));
 }
 
-/** Tree operator of a binary/comparison bytecode opcode. */
-Op
-opOfB(BOp op)
-{
-    switch (op) {
-      case BOp::Add: return Op::Add;
-      case BOp::Sub: return Op::Sub;
-      case BOp::Mul: return Op::Mul;
-      case BOp::Div: return Op::Div;
-      case BOp::Mod: return Op::Mod;
-      case BOp::Min: return Op::Min;
-      case BOp::Max: return Op::Max;
-      case BOp::Eq: return Op::Eq;
-      case BOp::Ne: return Op::Ne;
-      case BOp::Lt: return Op::Lt;
-      case BOp::Le: return Op::Le;
-      case BOp::Gt: return Op::Gt;
-      case BOp::Ge: return Op::Ge;
-      case BOp::And: return Op::And;
-      case BOp::Or: return Op::Or;
-      default:
-        panic("opOfB: not a binary opcode ", static_cast<int>(op));
-    }
-    return Op::Add;
-}
-
 /** Exact fold of one binary operator — Expr::eval()'s semantics. */
 std::int64_t
 foldOp(Op op, std::int64_t a, std::int64_t b)
@@ -127,8 +101,8 @@ isBoolValued(Op op)
  * evaluator is total; Not(x) becomes Eq(x, 0); Gt/Ge canonicalize to
  * Lt/Le with swapped operands and commutative atoms sort their
  * operands. Coefficient arithmetic wraps exactly like the compiler's
- * addWrap/mulWrap, so the compiler's affine reassociation and CSE
- * produce polynomials identical to the source's whenever the compile
+ * addWrap/mulWrap, so the compiler's affine reassociation produces
+ * polynomials identical to the source's whenever the compile
  * is faithful. Boolean-valued atoms are idempotent (a*a == a for
  * 0/1-valued a), which keeps Select-expansion products canonical.
  */
@@ -448,7 +422,6 @@ verifyCodeName(VerifyCode code)
       case VerifyCode::ResultCountMismatch: return "result-count-mismatch";
       case VerifyCode::StackBudgetExceeded: return "stack-budget-exceeded";
       case VerifyCode::BadOperand: return "bad-operand";
-      case VerifyCode::UndefinedLocal: return "undefined-local";
       case VerifyCode::BadOpcode: return "bad-opcode";
       case VerifyCode::DivByZeroDefinite: return "div-by-zero-definite";
       case VerifyCode::SegmentCycleMismatch:
@@ -577,6 +550,15 @@ class Verifier
     Interval ivOf(std::int32_t idx);
     void checkDivisor(const Interval &b, std::int32_t idx,
                       const char *where);
+
+    /** @return true if @p idx names a leaf (Const/Field/Affine/BinFC). */
+    bool
+    isLeaf(std::int32_t idx) const
+    {
+        return idx >= 0 &&
+               static_cast<std::size_t>(idx) < c.programs.size() &&
+               c.programs[idx].kind <= CExpr::Kind::BinFC;
+    }
 
     // ---- pass 3: symbolic equivalence ---------------------------
 
@@ -843,73 +825,43 @@ Verifier::checkProgram(std::int32_t idx)
                     "code slice exceeds the instruction pool");
 
     std::vector<Interval> stack;
-    std::vector<Interval> localIv(c.maxLocals, Interval::full());
-    std::vector<bool> defined(c.maxLocals, false);
     std::size_t max_depth = 0;
 
     for (std::uint32_t i = 0; i < e.count; ++i) {
         const BInstr in = c.code[e.first + i];
         const auto byte = static_cast<std::uint8_t>(in.op);
-        if (byte > static_cast<std::uint8_t>(BOp::Select))
+        if (byte > static_cast<std::uint8_t>(Op::Select))
             return fail(VerifyCode::BadOpcode,
                         "invalid opcode byte " + std::to_string(byte) +
                             " at instruction " + std::to_string(i));
 
         switch (in.op) {
-          case BOp::PushConst:
+          case Op::Const:
             if (in.arg < 0 ||
                 static_cast<std::size_t>(in.arg) >= c.pool.size()) {
                 return fail(VerifyCode::BadOperand,
-                            "PushConst pool index " +
+                            "Const pool index " +
                                 std::to_string(in.arg) +
                                 " out of range");
             }
             stack.push_back(Interval::point(c.pool[in.arg]));
             break;
-          case BOp::PushField:
+          case Op::Field:
             if (in.arg < 0 ||
                 static_cast<std::size_t>(in.arg) >= fieldIvs.size()) {
                 return fail(VerifyCode::BadOperand,
-                            "PushField field index " +
-                                std::to_string(in.arg) +
+                            "Field index " + std::to_string(in.arg) +
                                 " out of range");
             }
             stack.push_back(fieldIvs[in.arg]);
             break;
-          case BOp::LoadLocal:
-            if (in.arg < 0 ||
-                static_cast<std::uint32_t>(in.arg) >= c.maxLocals) {
-                return fail(VerifyCode::BadOperand,
-                            "LoadLocal slot " + std::to_string(in.arg) +
-                                " exceeds the locals budget");
-            }
-            if (!defined[in.arg])
-                return fail(VerifyCode::UndefinedLocal,
-                            "LoadLocal slot " + std::to_string(in.arg) +
-                                " read before any StoreLocal");
-            stack.push_back(localIv[in.arg]);
-            break;
-          case BOp::StoreLocal:
-            if (in.arg < 0 ||
-                static_cast<std::uint32_t>(in.arg) >= c.maxLocals) {
-                return fail(VerifyCode::BadOperand,
-                            "StoreLocal slot " +
-                                std::to_string(in.arg) +
-                                " exceeds the locals budget");
-            }
-            if (stack.empty())
-                return fail(VerifyCode::StackUnderflow,
-                            "StoreLocal on an empty stack");
-            localIv[in.arg] = stack.back();
-            defined[in.arg] = true;
-            break;
-          case BOp::Not:
+          case Op::Not:
             if (stack.empty())
                 return fail(VerifyCode::StackUnderflow,
                             "Not on an empty stack");
             stack.back() = notIv(stack.back());
             break;
-          case BOp::Select: {
+          case Op::Select: {
             if (stack.size() < 3)
                 return fail(VerifyCode::StackUnderflow,
                             "Select needs three operands");
@@ -935,9 +887,9 @@ Verifier::checkProgram(std::int32_t idx)
             stack.pop_back();
             const Interval a = stack.back();
             stack.pop_back();
-            if (in.op == BOp::Div || in.op == BOp::Mod)
+            if (in.op == Op::Div || in.op == Op::Mod)
                 checkDivisor(b, idx, "the bytecode");
-            stack.push_back(binaryOpInterval(opOfB(in.op), a, b));
+            stack.push_back(binaryOpInterval(in.op, a, b));
             break;
           }
         }
@@ -994,7 +946,7 @@ Verifier::ivOf(std::int32_t idx)
               }
               case CTerm::Kind::CondCmp: {
                 const Interval cond = binaryOpInterval(
-                    opOfB(t.cmp), fieldIvs[t.field],
+                    t.cmp, fieldIvs[t.field],
                     Interval::point(t.z));
                 if (cond.definitelyTrue())
                     term = Interval::point(t.a);
@@ -1011,48 +963,28 @@ Verifier::ivOf(std::int32_t idx)
         iv = acc;
         break;
       }
-      case CExpr::Kind::BinFF: {
-        const Interval b = fieldIvs[e.fieldB];
-        if (e.op == BOp::Div || e.op == BOp::Mod)
-            checkDivisor(b, idx, "a field-field binary");
-        iv = binaryOpInterval(opOfB(e.op), fieldIvs[e.field], b);
-        break;
-      }
       case CExpr::Kind::BinFC: {
         const Interval b = Interval::point(e.imm);
-        if (e.op == BOp::Div || e.op == BOp::Mod)
+        if (e.op == Op::Div || e.op == Op::Mod)
             checkDivisor(b, idx, "a field-const binary");
-        iv = binaryOpInterval(opOfB(e.op), fieldIvs[e.field], b);
-        break;
-      }
-      case CExpr::Kind::BinCF: {
-        const Interval b = fieldIvs[e.fieldB];
-        if (e.op == BOp::Div || e.op == BOp::Mod)
-            checkDivisor(b, idx, "a const-field binary");
-        iv = binaryOpInterval(opOfB(e.op), Interval::point(e.imm), b);
+        iv = binaryOpInterval(e.op, fieldIvs[e.field], b);
         break;
       }
       case CExpr::Kind::Bin2: {
+        // The evaluators read both children as leaves, without
+        // recursion; any other child would be silently misread.
+        if (!isLeaf(e.a) || !isLeaf(e.b)) {
+            diag(VerifyCode::BadOperand, -1, -1, idx,
+                 "Bin2 operand is not a leaf node in program #" +
+                     std::to_string(idx));
+            wfBad.insert(idx);
+            break;
+        }
         const Interval a = ivOf(e.a);
         const Interval b = ivOf(e.b);
-        if (e.op == BOp::Div || e.op == BOp::Mod)
-            checkDivisor(b, idx, "a composite binary");
-        iv = binaryOpInterval(opOfB(e.op), a, b);
-        break;
-      }
-      case CExpr::Kind::Not1:
-        iv = notIv(ivOf(e.a));
-        break;
-      case CExpr::Kind::Select3: {
-        const Interval cv = ivOf(e.a);
-        const Interval tv = ivOf(e.b);
-        const Interval ev = ivOf(e.c);
-        if (cv.definitelyTrue())
-            iv = tv;
-        else if (cv.definitelyFalse())
-            iv = ev;
-        else
-            iv = tv.hull(ev);
+        if (e.op == Op::Div || e.op == Op::Mod)
+            checkDivisor(b, idx, "a leaf binary");
+        iv = binaryOpInterval(e.op, a, b);
         break;
       }
       case CExpr::Kind::Program:
@@ -1083,26 +1015,19 @@ Poly
 Verifier::reliftCode(const CExpr &e)
 {
     std::vector<Poly> stack;
-    std::vector<Poly> locals(c.maxLocals);
     for (std::uint32_t i = 0; i < e.count; ++i) {
         const BInstr in = c.code[e.first + i];
         switch (in.op) {
-          case BOp::PushConst:
+          case Op::Const:
             stack.push_back(ctx.constant(c.pool[in.arg]));
             break;
-          case BOp::PushField:
+          case Op::Field:
             stack.push_back(ctx.fieldVar(in.arg));
             break;
-          case BOp::LoadLocal:
-            stack.push_back(locals[in.arg]);
-            break;
-          case BOp::StoreLocal:
-            locals[in.arg] = stack.back();
-            break;
-          case BOp::Not:
+          case Op::Not:
             stack.back() = ctx.notOf(stack.back());
             break;
-          case BOp::Select: {
+          case Op::Select: {
             const Poly ev = stack.back();
             stack.pop_back();
             const Poly tv = stack.back();
@@ -1117,7 +1042,7 @@ Verifier::reliftCode(const CExpr &e)
             stack.pop_back();
             const Poly a = stack.back();
             stack.pop_back();
-            stack.push_back(ctx.binary(opOfB(in.op), a, b));
+            stack.push_back(ctx.binary(in.op, a, b));
             break;
           }
         }
@@ -1155,7 +1080,7 @@ Verifier::relift(std::int32_t idx)
                                           ctx.constant(t.b)));
                 break;
               case CTerm::Kind::CondCmp: {
-                const Poly cmp = ctx.binary(opOfB(t.cmp),
+                const Poly cmp = ctx.binary(t.cmp,
                                             ctx.fieldVar(t.field),
                                             ctx.constant(t.z));
                 p = ctx.add(p, ctx.select(cmp, ctx.constant(t.a),
@@ -1166,26 +1091,11 @@ Verifier::relift(std::int32_t idx)
         }
         break;
       }
-      case CExpr::Kind::BinFF:
-        p = ctx.binary(opOfB(e.op), ctx.fieldVar(e.field),
-                       ctx.fieldVar(e.fieldB));
-        break;
       case CExpr::Kind::BinFC:
-        p = ctx.binary(opOfB(e.op), ctx.fieldVar(e.field),
-                       ctx.constant(e.imm));
-        break;
-      case CExpr::Kind::BinCF:
-        p = ctx.binary(opOfB(e.op), ctx.constant(e.imm),
-                       ctx.fieldVar(e.fieldB));
+        p = ctx.binary(e.op, ctx.fieldVar(e.field), ctx.constant(e.imm));
         break;
       case CExpr::Kind::Bin2:
-        p = ctx.binary(opOfB(e.op), relift(e.a), relift(e.b));
-        break;
-      case CExpr::Kind::Not1:
-        p = ctx.notOf(relift(e.a));
-        break;
-      case CExpr::Kind::Select3:
-        p = ctx.select(relift(e.a), relift(e.b), relift(e.c));
+        p = ctx.binary(e.op, relift(e.a), relift(e.b));
         break;
       case CExpr::Kind::Program:
         p = reliftCode(e);
@@ -1210,32 +1120,17 @@ Verifier::collectProgramFields(std::int32_t idx,
         for (std::uint32_t i = 0; i < e.count; ++i)
             out.insert(c.affinePool[e.first + i].field);
         break;
-      case CExpr::Kind::BinFF:
-        out.insert(e.field);
-        out.insert(e.fieldB);
-        break;
       case CExpr::Kind::BinFC:
         out.insert(e.field);
-        break;
-      case CExpr::Kind::BinCF:
-        out.insert(e.fieldB);
         break;
       case CExpr::Kind::Bin2:
         collectProgramFields(e.a, out);
         collectProgramFields(e.b, out);
         break;
-      case CExpr::Kind::Not1:
-        collectProgramFields(e.a, out);
-        break;
-      case CExpr::Kind::Select3:
-        collectProgramFields(e.a, out);
-        collectProgramFields(e.b, out);
-        collectProgramFields(e.c, out);
-        break;
       case CExpr::Kind::Program:
         for (std::uint32_t i = 0; i < e.count; ++i) {
             const BInstr in = c.code[e.first + i];
-            if (in.op == BOp::PushField)
+            if (in.op == Op::Field)
                 out.insert(in.arg);
         }
         break;
@@ -2031,653 +1926,6 @@ verifyOnBuild(const CompiledDesign &comp)
           "faithful image of the source (set PREDVFS_VERIFY=warn to "
           "continue anyway):\n",
           os.str());
-}
-
-// ------------------------------------------------------------------
-// Mutation harness: seeded miscompile injections. Each kind corrupts
-// the compiled tables the way a real compiler bug would; the tests
-// assert the validator statically rejects every one.
-// ------------------------------------------------------------------
-
-const char *
-miscompileName(Miscompile kind)
-{
-    switch (kind) {
-      case Miscompile::DropAffineTerm: return "drop-affine-term";
-      case Miscompile::AffineImmOffByOne: return "affine-imm-off-by-one";
-      case Miscompile::SwapBinOperands: return "swap-bin-operands";
-      case Miscompile::WrongOpcode: return "wrong-opcode";
-      case Miscompile::PoolConstCorrupt: return "pool-const-corrupt";
-      case Miscompile::WrongCseMerge: return "wrong-cse-merge";
-      case Miscompile::StackImbalance: return "stack-imbalance";
-      case Miscompile::FieldIndexCorrupt: return "field-index-corrupt";
-      case Miscompile::PresummedCyclesOffByOne:
-        return "presummed-cycles-off-by-one";
-      case Miscompile::SlotDwellCorrupt: return "slot-dwell-corrupt";
-      case Miscompile::SlotEnergyCorrupt: return "slot-energy-corrupt";
-      case Miscompile::AddendCorrupt: return "addend-corrupt";
-      case Miscompile::SegmentRerouted: return "segment-rerouted";
-      case Miscompile::TraceMisroute: return "trace-misroute";
-      case Miscompile::TraceCycleSkew: return "trace-cycle-skew";
-      case Miscompile::GuardDropped: return "guard-dropped";
-      case Miscompile::TransitionRetarget: return "transition-retarget";
-      case Miscompile::StateEnergyCorrupt:
-        return "state-energy-corrupt";
-      case Miscompile::FixedDwellCorrupt: return "fixed-dwell-corrupt";
-      case Miscompile::JobOverheadCorrupt:
-        return "job-overhead-corrupt";
-      case Miscompile::SpecRetarget: return "spec-retarget";
-      case Miscompile::SpecPredictFlip: return "spec-predict-flip";
-      case Miscompile::SpecCycleSkew: return "spec-cycle-skew";
-    }
-    return "?";
-}
-
-namespace {
-
-std::int64_t
-wrapInc(std::int64_t x)
-{
-    return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) + 1);
-}
-
-/** One LCG step; the mutation harness's entire randomness budget. */
-std::size_t
-pickSite(unsigned seed, std::size_t n)
-{
-    const unsigned s = seed * 1664525u + 1013904223u;
-    return static_cast<std::size_t>(s % n);
-}
-
-bool
-pointBounds(const Design &d, FieldId f)
-{
-    const FieldBounds &b = d.fieldBounds()[f];
-    return b.lo == b.hi;
-}
-
-/** The complement of a comparison — differs at *every* input. */
-bool
-complementCmp(BOp op, BOp &out)
-{
-    switch (op) {
-      case BOp::Eq: out = BOp::Ne; return true;
-      case BOp::Ne: out = BOp::Eq; return true;
-      case BOp::Lt: out = BOp::Ge; return true;
-      case BOp::Le: out = BOp::Gt; return true;
-      case BOp::Gt: out = BOp::Le; return true;
-      case BOp::Ge: out = BOp::Lt; return true;
-      default: return false;
-    }
-}
-
-/** A plausible wrong operator for a node-level miscompile. */
-bool
-dualOp(BOp op, BOp &out)
-{
-    if (complementCmp(op, out))
-        return true;
-    switch (op) {
-      case BOp::Add: out = BOp::Sub; return true;
-      case BOp::Sub: out = BOp::Add; return true;
-      case BOp::Mul: out = BOp::Add; return true;
-      case BOp::Div: out = BOp::Mul; return true;
-      case BOp::Mod: out = BOp::Add; return true;
-      case BOp::Min: out = BOp::Max; return true;
-      case BOp::Max: out = BOp::Min; return true;
-      case BOp::And: out = BOp::Or; return true;
-      case BOp::Or: out = BOp::And; return true;
-      default: return false;
-    }
-}
-
-bool
-isNonCommutative(BOp op)
-{
-    switch (op) {
-      case BOp::Sub: case BOp::Div: case BOp::Mod: case BOp::Lt:
-      case BOp::Le: case BOp::Gt: case BOp::Ge:
-        return true;
-      default:
-        return false;
-    }
-}
-
-} // namespace
-
-std::string
-injectMiscompile(CompiledDesign &comp, Miscompile kind, unsigned seed)
-{
-    using CExpr = CompiledDesign::CExpr;
-    using CTerm = CompiledDesign::CTerm;
-    const Design &d = *comp.src;
-    const auto tag = [&](const std::string &what) {
-        return std::string(miscompileName(kind)) + ": " + what;
-    };
-
-    switch (kind) {
-      case Miscompile::DropAffineTerm: {
-        std::vector<std::size_t> sites;
-        for (std::size_t i = 0; i < comp.programs.size(); ++i) {
-            const CExpr &e = comp.programs[i];
-            if (e.kind != CExpr::Kind::Affine || e.count < 1)
-                continue;
-            const CTerm &t = comp.affinePool[e.first + e.count - 1];
-            const bool trivial = t.kind == CTerm::Kind::Linear
-                                     ? t.a == 0
-                                     : (t.a == 0 && t.b == 0);
-            if (!trivial)
-                sites.push_back(i);
-        }
-        if (sites.empty())
-            return "";
-        const std::size_t p = sites[pickSite(seed, sites.size())];
-        comp.programs[p].count -= 1;
-        return tag("dropped the last merged term of affine program #" +
-                   std::to_string(p));
-      }
-
-      case Miscompile::AffineImmOffByOne: {
-        std::vector<std::size_t> sites;
-        for (std::size_t i = 0; i < comp.programs.size(); ++i) {
-            const CExpr::Kind k = comp.programs[i].kind;
-            if (k == CExpr::Kind::Affine || k == CExpr::Kind::Const)
-                sites.push_back(i);
-        }
-        if (sites.empty())
-            return "";
-        const std::size_t p = sites[pickSite(seed, sites.size())];
-        comp.programs[p].imm = wrapInc(comp.programs[p].imm);
-        return tag("bumped the immediate of program #" +
-                   std::to_string(p));
-      }
-
-      case Miscompile::SwapBinOperands: {
-        std::vector<std::size_t> sites;
-        for (std::size_t i = 0; i < comp.programs.size(); ++i) {
-            const CExpr &e = comp.programs[i];
-            switch (e.kind) {
-              case CExpr::Kind::BinFF:
-                if (isNonCommutative(e.op) && e.field != e.fieldB &&
-                    !(pointBounds(d, e.field) &&
-                      pointBounds(d, e.fieldB))) {
-                    sites.push_back(i);
-                }
-                break;
-              case CExpr::Kind::BinFC:
-                if (isNonCommutative(e.op) && !pointBounds(d, e.field))
-                    sites.push_back(i);
-                break;
-              case CExpr::Kind::BinCF:
-                if (isNonCommutative(e.op) && !pointBounds(d, e.fieldB))
-                    sites.push_back(i);
-                break;
-              case CExpr::Kind::Bin2:
-                if (isNonCommutative(e.op) && e.a != e.b)
-                    sites.push_back(i);
-                break;
-              default:
-                break;
-            }
-        }
-        if (sites.empty())
-            return "";
-        const std::size_t p = sites[pickSite(seed, sites.size())];
-        CExpr &e = comp.programs[p];
-        switch (e.kind) {
-          case CExpr::Kind::BinFF:
-            std::swap(e.field, e.fieldB);
-            break;
-          case CExpr::Kind::BinFC:
-            e.kind = CExpr::Kind::BinCF;
-            e.fieldB = e.field;
-            e.field = -1;
-            break;
-          case CExpr::Kind::BinCF:
-            e.kind = CExpr::Kind::BinFC;
-            e.field = e.fieldB;
-            e.fieldB = -1;
-            break;
-          default:
-            std::swap(e.a, e.b);
-            break;
-        }
-        return tag("swapped the operands of non-commutative program #" +
-                   std::to_string(p));
-      }
-
-      case Miscompile::WrongOpcode: {
-        // Node-level sites: any binary specialisation with a dual.
-        // Code-level sites: comparison instructions only — their
-        // complements differ at every input, so the rejection does not
-        // hinge on a particular field domain.
-        struct Site
-        {
-            bool inCode;
-            std::size_t idx;
-            BOp repl;
-        };
-        std::vector<Site> sites;
-        for (std::size_t i = 0; i < comp.programs.size(); ++i) {
-            const CExpr &e = comp.programs[i];
-            if (e.kind != CExpr::Kind::BinFF &&
-                e.kind != CExpr::Kind::BinFC &&
-                e.kind != CExpr::Kind::BinCF &&
-                e.kind != CExpr::Kind::Bin2)
-                continue;
-            BOp repl;
-            if (!dualOp(e.op, repl))
-                continue;
-            // Min<->Max and And<->Or on a field paired with itself are
-            // identity rewrites; skip those.
-            if (e.kind == CExpr::Kind::BinFF && e.field == e.fieldB &&
-                (e.op == BOp::Min || e.op == BOp::Max ||
-                 e.op == BOp::And || e.op == BOp::Or))
-                continue;
-            sites.push_back({false, i, repl});
-        }
-        for (std::size_t i = 0; i < comp.code.size(); ++i) {
-            BOp repl;
-            if (complementCmp(comp.code[i].op, repl))
-                sites.push_back({true, i, repl});
-        }
-        if (sites.empty())
-            return "";
-        const Site &s = sites[pickSite(seed, sites.size())];
-        if (s.inCode) {
-            comp.code[s.idx].op = s.repl;
-            return tag("complemented the comparison at instruction " +
-                       std::to_string(s.idx));
-        }
-        comp.programs[s.idx].op = s.repl;
-        return tag("replaced the operator of program #" +
-                   std::to_string(s.idx) + " with its dual");
-      }
-
-      case Miscompile::PoolConstCorrupt: {
-        std::set<std::int32_t> used;
-        for (const BInstr &in : comp.code)
-            if (in.op == BOp::PushConst)
-                used.insert(in.arg);
-        if (used.empty())
-            return "";
-        const std::vector<std::int32_t> sites(used.begin(), used.end());
-        const std::int32_t k = sites[pickSite(seed, sites.size())];
-        comp.pool[k] = wrapInc(comp.pool[k]);
-        return tag("perturbed literal-pool entry " + std::to_string(k));
-      }
-
-      case Miscompile::WrongCseMerge: {
-        struct Site
-        {
-            std::size_t idx;                  //!< Global code index.
-            std::vector<std::int32_t> alts;   //!< Other live slots.
-        };
-        std::vector<Site> sites;
-        for (const CExpr &e : comp.programs) {
-            if (e.kind != CExpr::Kind::Program)
-                continue;
-            std::set<std::int32_t> defined;
-            for (std::uint32_t i = 0; i < e.count; ++i) {
-                const BInstr &in = comp.code[e.first + i];
-                if (in.op == BOp::StoreLocal) {
-                    defined.insert(in.arg);
-                } else if (in.op == BOp::LoadLocal) {
-                    std::vector<std::int32_t> alts;
-                    for (std::int32_t s : defined)
-                        if (s != in.arg)
-                            alts.push_back(s);
-                    if (!alts.empty())
-                        sites.push_back({e.first + i, alts});
-                }
-            }
-        }
-        if (sites.empty())
-            return "";
-        const Site &s = sites[pickSite(seed, sites.size())];
-        comp.code[s.idx].arg =
-            s.alts[pickSite(seed + 1, s.alts.size())];
-        return tag("redirected the LoadLocal at instruction " +
-                   std::to_string(s.idx) + " to another CSE slot");
-      }
-
-      case Miscompile::StackImbalance: {
-        std::vector<std::size_t> sites;
-        for (const CExpr &e : comp.programs) {
-            if (e.kind != CExpr::Kind::Program)
-                continue;
-            for (std::uint32_t i = 0; i < e.count; ++i) {
-                const BOp op = comp.code[e.first + i].op;
-                if (op == BOp::PushConst || op == BOp::PushField ||
-                    op == BOp::LoadLocal)
-                    sites.push_back(e.first + i);
-            }
-        }
-        if (sites.empty())
-            return "";
-        const std::size_t idx = sites[pickSite(seed, sites.size())];
-        comp.code[idx].op = BOp::Add;
-        comp.code[idx].arg = 0;
-        return tag("turned the push at instruction " +
-                   std::to_string(idx) + " into a binary op");
-      }
-
-      case Miscompile::FieldIndexCorrupt: {
-        const std::size_t nf = d.numFields();
-        if (nf < 2)
-            return "";
-        const auto eligible = [&](FieldId f) {
-            const FieldId g =
-                static_cast<FieldId>((f + 1) % static_cast<int>(nf));
-            return !pointBounds(d, f) && !pointBounds(d, g);
-        };
-        struct Site
-        {
-            enum What
-            {
-                NodeField, NodeFieldB, TermField, CodeField
-            } what;
-            std::size_t idx;
-        };
-        std::vector<Site> sites;
-        for (std::size_t i = 0; i < comp.programs.size(); ++i) {
-            const CExpr &e = comp.programs[i];
-            switch (e.kind) {
-              case CExpr::Kind::Field:
-              case CExpr::Kind::BinFC:
-                if (eligible(e.field))
-                    sites.push_back({Site::NodeField, i});
-                break;
-              case CExpr::Kind::BinFF:
-                if (eligible(e.field))
-                    sites.push_back({Site::NodeField, i});
-                if (eligible(e.fieldB))
-                    sites.push_back({Site::NodeFieldB, i});
-                break;
-              case CExpr::Kind::BinCF:
-                if (eligible(e.fieldB))
-                    sites.push_back({Site::NodeFieldB, i});
-                break;
-              case CExpr::Kind::Affine:
-                for (std::uint32_t t = 0; t < e.count; ++t) {
-                    const CTerm &term = comp.affinePool[e.first + t];
-                    const bool live =
-                        term.kind == CTerm::Kind::Linear ? term.a != 0
-                                                         : true;
-                    if (live && eligible(term.field))
-                        sites.push_back({Site::TermField, e.first + t});
-                }
-                break;
-              default:
-                break;
-            }
-        }
-        for (std::size_t i = 0; i < comp.code.size(); ++i) {
-            if (comp.code[i].op == BOp::PushField &&
-                eligible(comp.code[i].arg))
-                sites.push_back({Site::CodeField, i});
-        }
-        if (sites.empty())
-            return "";
-        const Site &s = sites[pickSite(seed, sites.size())];
-        const auto shift = [&](FieldId f) {
-            return static_cast<FieldId>((f + 1) %
-                                        static_cast<int>(nf));
-        };
-        switch (s.what) {
-          case Site::NodeField:
-            comp.programs[s.idx].field =
-                shift(comp.programs[s.idx].field);
-            break;
-          case Site::NodeFieldB:
-            comp.programs[s.idx].fieldB =
-                shift(comp.programs[s.idx].fieldB);
-            break;
-          case Site::TermField:
-            comp.affinePool[s.idx].field =
-                shift(comp.affinePool[s.idx].field);
-            break;
-          case Site::CodeField:
-            comp.code[s.idx].arg = shift(comp.code[s.idx].arg);
-            break;
-        }
-        return tag("shifted a field operand to its neighbour");
-      }
-
-      case Miscompile::PresummedCyclesOffByOne: {
-        if (comp.runs.empty())
-            return "";
-        const std::size_t r = pickSite(seed, comp.runs.size());
-        comp.runs[r].cycles += 1;
-        return tag("bumped the cycle presum of run " +
-                   std::to_string(r));
-      }
-
-      case Miscompile::SlotDwellCorrupt: {
-        std::vector<std::size_t> sites;
-        for (std::size_t i = 0; i < comp.slots.size(); ++i)
-            if (comp.slots[i].prog < 0)
-                sites.push_back(i);
-        if (sites.empty())
-            return "";
-        const std::size_t i = sites[pickSite(seed, sites.size())];
-        comp.slots[i].cycles += 1;
-        return tag("bumped the static dwell of slot " +
-                   std::to_string(i));
-      }
-
-      case Miscompile::SlotEnergyCorrupt: {
-        if (comp.slots.empty())
-            return "";
-        const std::size_t i = pickSite(seed, comp.slots.size());
-        comp.slots[i].energy += 0.5;
-        return tag("perturbed the energy addend/rate of slot " +
-                   std::to_string(i));
-      }
-
-      case Miscompile::AddendCorrupt: {
-        if (comp.addendPool.empty())
-            return "";
-        const std::size_t k = pickSite(seed, comp.addendPool.size());
-        comp.addendPool[k] += 1.0;
-        return tag("perturbed dense energy addend " +
-                   std::to_string(k));
-      }
-
-      case Miscompile::SegmentRerouted: {
-        struct Site
-        {
-            std::size_t idx;
-            StateId repl;
-        };
-        std::vector<Site> sites;
-        for (std::size_t f = 0; f < comp.cfsms.size(); ++f) {
-            const auto &cf = comp.cfsms[f];
-            for (std::uint32_t s = 0; s < cf.numStates; ++s) {
-                const std::size_t g = cf.firstState + s;
-                const StateId old = comp.segs[g].next;
-                const StateId repl = static_cast<StateId>(
-                    old < 0 ? 0
-                            : (old + 1) %
-                                  static_cast<StateId>(cf.numStates));
-                if (repl != old)
-                    sites.push_back({g, repl});
-            }
-        }
-        if (sites.empty())
-            return "";
-        const Site &s = sites[pickSite(seed, sites.size())];
-        comp.segs[s.idx].next = s.repl;
-        return tag("repointed segment " + std::to_string(s.idx) +
-                   "'s resume state");
-      }
-
-      case Miscompile::TraceMisroute: {
-        for (std::size_t f = 0; f < comp.traces.size(); ++f) {
-            if (comp.traces[f].valid) {
-                comp.traces[f].valid = false;
-                return tag("demoted lockstep FSM " + std::to_string(f) +
-                           " to the scalar path");
-            }
-        }
-        if (comp.traces.empty())
-            return "";
-        comp.traces[0].valid = true;
-        return tag("promoted branch-dynamic FSM 0 to lockstep");
-      }
-
-      case Miscompile::TraceCycleSkew: {
-        std::vector<std::size_t> sites;
-        for (std::size_t f = 0; f < comp.traces.size(); ++f)
-            if (comp.traces[f].valid)
-                sites.push_back(f);
-        if (sites.empty())
-            return "";
-        const std::size_t f = sites[pickSite(seed, sites.size())];
-        comp.traces[f].staticCycles += 1;
-        return tag("skewed the presummed cycles of lockstep FSM " +
-                   std::to_string(f));
-      }
-
-      case Miscompile::GuardDropped: {
-        std::vector<std::size_t> sites;
-        for (std::size_t i = 0; i < comp.trans.size(); ++i)
-            if (comp.trans[i].guard >= 0)
-                sites.push_back(i);
-        if (sites.empty())
-            return "";
-        const std::size_t i = sites[pickSite(seed, sites.size())];
-        comp.trans[i].guard = -1;
-        return tag("dropped the guard of transition " +
-                   std::to_string(i));
-      }
-
-      case Miscompile::TransitionRetarget: {
-        struct Site
-        {
-            std::size_t idx;
-            StateId repl;
-        };
-        std::vector<Site> sites;
-        for (std::size_t f = 0; f < comp.cfsms.size(); ++f) {
-            const auto &cf = comp.cfsms[f];
-            if (cf.numStates < 2)
-                continue;
-            for (std::uint32_t s = 0; s < cf.numStates; ++s) {
-                const auto &cs = comp.states[cf.firstState + s];
-                for (std::uint32_t t = 0; t < cs.numTrans; ++t) {
-                    const std::size_t idx = cs.firstTrans + t;
-                    const StateId repl = static_cast<StateId>(
-                        (comp.trans[idx].dst + 1) %
-                        static_cast<StateId>(cf.numStates));
-                    sites.push_back({idx, repl});
-                }
-            }
-        }
-        if (sites.empty())
-            return "";
-        const Site &s = sites[pickSite(seed, sites.size())];
-        comp.trans[s.idx].dst = s.repl;
-        return tag("retargeted transition " + std::to_string(s.idx));
-      }
-
-      case Miscompile::StateEnergyCorrupt: {
-        if (comp.states.empty())
-            return "";
-        const std::size_t i = pickSite(seed, comp.states.size());
-        comp.states[i].energyPerCycle += 0.25;
-        return tag("perturbed the energy rate of state " +
-                   std::to_string(i));
-      }
-
-      case Miscompile::FixedDwellCorrupt: {
-        std::vector<std::size_t> sites;
-        for (std::size_t i = 0; i < comp.states.size(); ++i)
-            if (comp.states[i].kind == LatencyKind::Fixed)
-                sites.push_back(i);
-        if (sites.empty())
-            return "";
-        const std::size_t i = sites[pickSite(seed, sites.size())];
-        comp.states[i].fixedDwell += 1;
-        return tag("bumped the fixed dwell of state " +
-                   std::to_string(i));
-      }
-
-      case Miscompile::JobOverheadCorrupt:
-        comp.jobOverhead += 1;
-        return tag("bumped the per-job overhead cycles");
-
-      case Miscompile::SpecRetarget: {
-        struct Site
-        {
-            std::size_t idx;
-            StateId repl;
-        };
-        std::vector<Site> sites;
-        for (std::size_t f = 0; f < comp.specTraces.size(); ++f) {
-            const auto &sp = comp.specTraces[f];
-            if (!sp.valid)
-                continue;
-            const auto &cf = comp.cfsms[f];
-            if (cf.numStates < 2)
-                continue;
-            for (std::uint32_t k = 0; k < sp.count; ++k) {
-                const std::size_t idx = sp.first + k;
-                const auto &nd = comp.specNodes[idx];
-                if (!nd.branch)
-                    continue;
-                const StateId repl = static_cast<StateId>(
-                    (nd.takenDst + 1) %
-                    static_cast<StateId>(cf.numStates));
-                if (repl != nd.takenDst)
-                    sites.push_back({idx, repl});
-            }
-        }
-        if (sites.empty())
-            return "";
-        const Site &s = sites[pickSite(seed, sites.size())];
-        comp.specNodes[s.idx].takenDst = s.repl;
-        return tag("retargeted the taken edge of speculative node " +
-                   std::to_string(s.idx));
-      }
-
-      case Miscompile::SpecPredictFlip: {
-        std::vector<std::size_t> sites;
-        for (std::size_t f = 0; f < comp.specTraces.size(); ++f) {
-            const auto &sp = comp.specTraces[f];
-            if (!sp.valid)
-                continue;
-            for (std::uint32_t k = 0; k < sp.count; ++k)
-                if (comp.specNodes[sp.first + k].branch)
-                    sites.push_back(sp.first + k);
-        }
-        if (sites.empty())
-            return "";
-        const std::size_t i = sites[pickSite(seed, sites.size())];
-        comp.specNodes[i].predictTaken = !comp.specNodes[i].predictTaken;
-        return tag("flipped the predicted outcome of speculative "
-                   "node " + std::to_string(i));
-      }
-
-      case Miscompile::SpecCycleSkew: {
-        std::vector<std::size_t> sites;
-        for (std::size_t f = 0; f < comp.specTraces.size(); ++f) {
-            const auto &sp = comp.specTraces[f];
-            if (!sp.valid)
-                continue;
-            for (std::uint32_t k = 0; k < sp.count; ++k)
-                if (!comp.specNodes[sp.first + k].branch)
-                    sites.push_back(sp.first + k);
-        }
-        if (sites.empty())
-            return "";
-        const std::size_t i = sites[pickSite(seed, sites.size())];
-        comp.specNodes[i].cycles += 1;
-        return tag("skewed the presummed cycles of speculative "
-                   "sweep node " + std::to_string(i));
-      }
-    }
-    return "";
 }
 
 } // namespace rtl

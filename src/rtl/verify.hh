@@ -12,9 +12,9 @@
  * reliance on concrete job execution:
  *
  *  1. Symbolic equivalence — every compiled root (Const/Field/Affine
- *     merged terms, BinFF/BinFC/BinCF leaves, Not1/Bin2/Select3
- *     composites, and CSE-deduped postfix bytecode) is re-lifted into
- *     a canonical polynomial normal form over hash-consed atoms
+ *     merged terms, BinFC leaves, Bin2 over two leaves, and postfix
+ *     bytecode) is re-lifted into a canonical polynomial normal form
+ *     over hash-consed atoms
  *     (wrapping mod-2^64 arithmetic modeled exactly; Select rewritten
  *     as e + (t - e) * [cond]) and compared against the normalized
  *     source tree. When the canonical forms differ, the checker falls
@@ -24,10 +24,10 @@
  *
  *  2. Bytecode well-formedness — abstract stack-depth and operand
  *     verification of every postfix program (no underflow, exactly one
- *     result, declared stack/local budgets respected, every operand
- *     index in range, locals defined before use), with interval
- *     analysis (rtl/interval) propagated through the stack slots to
- *     prove division-by-zero-freedom or pin the guarded-div sites.
+ *     result, declared stack budget respected, every operand index in
+ *     range, both Bin2 children leaves), with interval analysis
+ *     (rtl/interval) propagated through the stack slots to prove
+ *     division-by-zero-freedom or pin the guarded-div sites.
  *
  *  3. Fused-segment audit — the per-state dwell, clamping, energy
  *     rate, presummed run cycles, and dense energy-addend slices of
@@ -86,9 +86,8 @@ enum class VerifyCode
     StackUnderflow,       //!< Bytecode pops an empty stack.
     ResultCountMismatch,  //!< Program does not leave exactly one value.
     StackBudgetExceeded,  //!< Depth exceeds the declared maxStack.
-    BadOperand,           //!< Pool/field/local index out of range.
-    UndefinedLocal,       //!< LoadLocal before any StoreLocal.
-    BadOpcode,            //!< Instruction byte is not a valid BOp.
+    BadOperand,           //!< Pool/field/child index out of range.
+    BadOpcode,            //!< Instruction byte is not a valid Op.
     DivByZeroDefinite,    //!< A divisor interval is exactly {0}.
     SegmentCycleMismatch, //!< Presummed cycles differ from the source.
     SegmentEnergyMismatch,//!< Addend/rate differs from the source.
@@ -181,52 +180,6 @@ VerifyMode verifyModeFromEnv();
  * honours verifyModeFromEnv(). Exposed for tests.
  */
 void verifyOnBuild(const CompiledDesign &comp);
-
-/**
- * Seeded miscompile injections for the mutation harness: each kind
- * corrupts one aspect of the compiled artifact the way a compiler bug
- * would, so tests can assert the validator statically rejects it.
- */
-enum class Miscompile
-{
-    DropAffineTerm,          //!< Remove a merged affine term.
-    AffineImmOffByOne,       //!< Affine/Const immediate off by one.
-    SwapBinOperands,         //!< Swap a non-commutative binary's sides.
-    WrongOpcode,             //!< Replace an operator with its dual.
-    PoolConstCorrupt,        //!< Perturb a shared literal-pool entry.
-    WrongCseMerge,           //!< Redirect a LoadLocal to another slot.
-    StackImbalance,          //!< Turn a push into a binary op.
-    FieldIndexCorrupt,       //!< Shift a field operand to a neighbour.
-    PresummedCyclesOffByOne, //!< Corrupt a compressed run's cycle sum.
-    SlotDwellCorrupt,        //!< Corrupt a static slot's dwell.
-    SlotEnergyCorrupt,       //!< Corrupt a slot's addend/rate.
-    AddendCorrupt,           //!< Perturb a dense energy addend.
-    SegmentRerouted,         //!< Point a segment at the wrong resume.
-    TraceMisroute,           //!< Flip a lockstep trace to scalar.
-    TraceCycleSkew,          //!< Skew a trace's presummed cycles.
-    GuardDropped,            //!< Turn a guarded edge into a default.
-    TransitionRetarget,      //!< Point a transition at a wrong state.
-    StateEnergyCorrupt,      //!< Corrupt a state's energy rate.
-    FixedDwellCorrupt,       //!< Corrupt a fixed state's dwell.
-    JobOverheadCorrupt,      //!< Corrupt the per-job overhead cycles.
-    SpecRetarget,            //!< Retarget a speculative taken edge.
-    SpecPredictFlip,         //!< Flip a node's predicted outcome.
-    SpecCycleSkew,           //!< Skew a spec sweep's presummed cycles.
-};
-
-/** @return the stable name of a mutation kind. */
-const char *miscompileName(Miscompile kind);
-
-/**
- * Apply one seeded miscompile to @p comp in place. The seed picks the
- * mutation site deterministically among the eligible ones.
- *
- * @return a description of what was corrupted, or the empty string if
- *         the design offers no eligible site for this kind. Never run
- *         a mutated design; it exists only to be verified.
- */
-std::string injectMiscompile(CompiledDesign &comp, Miscompile kind,
-                             unsigned seed);
 
 /** Friend of CompiledDesign; all validator logic lives here. */
 class Verifier;

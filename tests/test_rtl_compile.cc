@@ -17,8 +17,10 @@
 #include <vector>
 
 #include "accel/registry.hh"
+#include "rtl/analysis.hh"
 #include "rtl/compile.hh"
 #include "rtl/interpreter.hh"
+#include "rtl/slicer.hh"
 #include "util/random.hh"
 #include "workload/suite.hh"
 
@@ -453,6 +455,58 @@ TEST_P(CompileBenchmarks, CompiledDesignIntrospection)
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, CompileBenchmarks,
                          ::testing::ValuesIn(accel::benchmarkNames()));
 
+TEST(Compile, LoweringCensusOfShippedDesigns)
+{
+    // The compiled-table shape of every shipped design and of its RTL
+    // and HLS slices: total nodes, nodes that skip the bytecode loop,
+    // and bytecode instructions. Pinned so a change to the lowering
+    // rules shows up here before it can move a benchmark.
+    struct Shape
+    {
+        std::size_t programs;
+        std::size_t specialised;
+        std::size_t code;
+    };
+    struct Row
+    {
+        std::string bench;
+        Shape full;
+        Shape rtl;
+        Shape hls;
+    };
+    const std::vector<Row> rows = {
+        {"h264", {14, 14, 0}, {14, 14, 0}, {12, 11, 9}},
+        {"cjpeg", {4, 4, 0}, {4, 4, 0}, {4, 4, 0}},
+        {"djpeg", {5, 3, 20}, {4, 3, 13}, {4, 3, 17}},
+        {"md", {3, 3, 0}, {3, 3, 0}, {3, 3, 0}},
+        {"stencil", {6, 5, 8}, {6, 5, 8}, {6, 5, 8}},
+        {"aes", {3, 2, 10}, {3, 2, 10}, {3, 2, 10}},
+        {"sha", {2, 2, 0}, {2, 2, 0}, {2, 2, 0}},
+    };
+    ASSERT_EQ(rows.size(), accel::benchmarkNames().size());
+
+    const auto expectShape = [](const Design &d, const Shape &want,
+                                const std::string &what) {
+        const CompiledDesign comp(d);
+        EXPECT_EQ(comp.numPrograms(), want.programs) << what;
+        EXPECT_EQ(comp.numSpecialised(), want.specialised) << what;
+        EXPECT_EQ(comp.codeSize(), want.code) << what;
+    };
+    for (const Row &row : rows) {
+        const auto acc = accel::makeAccelerator(row.bench);
+        const Design &design = acc->design();
+        expectShape(design, row.full, row.bench + " full");
+        const AnalysisReport analysis = analyze(design);
+        SliceOptions options;
+        options.mode = SliceOptions::Mode::Rtl;
+        expectShape(makeSlice(design, analysis.features, options).design,
+                    row.rtl, row.bench + " rtl slice");
+        options.mode = SliceOptions::Mode::Hls;
+        expectShape(makeSlice(design, analysis.features, options).design,
+                    row.hls, row.bench + " hls slice");
+    }
+}
+
 TEST(Compile, DivModByZeroAndWrapEdgeCases)
 {
     const ExprPtr div_e = Expr::div(fld(0), fld(1));
@@ -516,33 +570,6 @@ TEST(Compile, MinMaxSaturationBoundaries)
           std::int64_t{1}, kMax - 2, kMax - 1, kMax}) {
         const std::vector<std::int64_t> fields = {v};
         EXPECT_EQ(p.eval(fields), e->eval(fields)) << v;
-    }
-}
-
-TEST(Compile, CommonSubtreesComputeOnce)
-{
-    // Two structurally identical (but distinct) products: the value
-    // numbering must merge them into one computation plus a reload.
-    const ExprPtr prod_a = Expr::mul(fld(0), fld(1));
-    const ExprPtr prod_b = Expr::mul(fld(0), fld(1));
-    const ExprPtr e =
-        Expr::add(Expr::add(prod_a, prod_b),
-                  Expr::mul(Expr::mul(fld(0), fld(1)), fld(2)));
-    const ExprProgram p(e);
-
-    EXPECT_EQ(p.numLocals(), 1u);
-    // Deduped: push f0, push f1, mul, store, load, add, load, push
-    // f2, mul, add = 10; a naive emit would recompute the product
-    // three times (12 instructions).
-    EXPECT_LE(p.codeLength(), 10u);
-
-    util::Rng rng(31);
-    for (int t = 0; t < 1000; ++t) {
-        const std::vector<std::int64_t> fields = {
-            rng.uniformInt(-1000, 1000), rng.uniformInt(-1000, 1000),
-            rng.uniformInt(-1000, 1000),
-        };
-        ASSERT_EQ(p.eval(fields), e->eval(fields));
     }
 }
 

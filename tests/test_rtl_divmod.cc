@@ -76,12 +76,12 @@ TEST(DivMod, BytecodeProgramMatchesSafeDivMod)
     }
 }
 
-TEST(DivMod, ApplyBOpMatchesSafeDivMod)
+TEST(DivMod, ApplyBinaryMatchesSafeDivMod)
 {
     for (std::int64_t a : kEdge) {
         for (std::int64_t b : kEdge) {
-            EXPECT_EQ(applyBOp(BOp::Div, a, b), safeDiv(a, b));
-            EXPECT_EQ(applyBOp(BOp::Mod, a, b), safeMod(a, b));
+            EXPECT_EQ(applyBinary(Op::Div, a, b), safeDiv(a, b));
+            EXPECT_EQ(applyBinary(Op::Mod, a, b), safeMod(a, b));
         }
     }
 }

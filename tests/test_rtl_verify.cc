@@ -21,6 +21,7 @@
 #include "rtl/report.hh"
 #include "rtl/slicer.hh"
 #include "rtl/verify.hh"
+#include "support/miscompile.hh"
 
 using namespace predvfs;
 using namespace predvfs::rtl;
@@ -34,8 +35,8 @@ namespace {
 /**
  * A crafted design with at least one eligible mutation site for every
  * Miscompile kind: an affine counter range (merged linear and
- * conditional terms), a bytecode program with two CSE'd subtrees and a
- * comparison instruction, binary leaf and composite specialisations, a
+ * conditional terms), a bytecode program with repeated subtrees and a
+ * comparison instruction, leaf binaries over two leaves, a
  * field-dependent guard (branch-dynamic FSM), and a second, fully
  * statically-routed FSM the lockstep batch kernel traces.
  */
@@ -56,9 +57,9 @@ richDesign()
         d.addCounter("c0", CounterDir::Down, range0, 16);
     const CounterId c1 = d.addCounter("c1", CounterDir::Up, lit(4), 8);
 
-    // Big expression with two shared subtrees (t and u) and a
-    // comparison, so the bytecode path has StoreLocal/LoadLocal pairs
-    // and a complementable instruction.
+    // Big expression with two repeated subtrees (t and u) and a
+    // comparison, so the bytecode path has literal pushes, field
+    // pushes, and a complementable instruction.
     const ExprPtr t = Expr::add(Expr::mul(fld(x), fld(y)), lit(3));
     const ExprPtr u = Expr::add(fld(y), lit(1));
     const ExprPtr big = Expr::add(
@@ -145,9 +146,9 @@ const Miscompile kAllMiscompiles[] = {
     Miscompile::DropAffineTerm,
     Miscompile::AffineImmOffByOne,
     Miscompile::SwapBinOperands,
+    Miscompile::Bin2ChildNotLeaf,
     Miscompile::WrongOpcode,
     Miscompile::PoolConstCorrupt,
-    Miscompile::WrongCseMerge,
     Miscompile::StackImbalance,
     Miscompile::FieldIndexCorrupt,
     Miscompile::PresummedCyclesOffByOne,

@@ -652,10 +652,18 @@ TEST(ServeDistributed, AsyncClientAbsorbsBusyAndConverges)
     const std::vector<core::PreparedJob> &records = exp.testPrepared();
 
     // A tiny bound and a long window force Busy rejections the async
-    // client must absorb with backed-off re-sends.
+    // client must absorb with backed-off re-sends. The overload must
+    // not hinge on how fast the client sends: with the queue bound
+    // below maxBatchJobs a batch can never fill early, so the
+    // dispatcher always waits out the whole window, and 50 ms is far
+    // longer than even a sanitizer-slowed client needs to put the
+    // 9th request of its 150-request burst on the wire. The first
+    // window therefore always overflows the queue.
     serve::ServerOptions sopts;
-    sopts.batchWindowMicros = 2000;
+    sopts.batchWindowMicros = 50000;
     sopts.queueBound = 8;
+    sopts.maxBatchJobs = 64;
+    ASSERT_LT(sopts.queueBound, sopts.maxBatchJobs);
     serve::PredictionServer server(sopts);
     server.registerBenchmark("sha");
 
