@@ -55,6 +55,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -231,23 +232,23 @@ benchOne(const std::string &name)
     std::vector<std::int64_t> scratch(
         std::max<std::size_t>(comp.scratchSize(), 1));
 
-    std::vector<const rtl::WorkItem *> stream;
+    std::vector<std::span<const std::int64_t>> stream;
     for (const rtl::JobInput &job : jobs)
-        for (const rtl::WorkItem &item : job.items)
-            stream.push_back(&item);
+        for (const rtl::JobItems::ConstItem item : job.items)
+            stream.push_back(item.fields);
 
     std::uint64_t sum = 0;
     const double expr_tree_s = timeBest(3, [&] {
-        for (const rtl::WorkItem *item : stream)
+        for (const std::span<const std::int64_t> fields : stream)
             for (const auto &root : roots)
                 sum += static_cast<std::uint64_t>(
-                    root.first->eval(item->fields));
+                    root.first->eval(fields));
     });
     const double expr_comp_s = timeBest(3, [&] {
-        for (const rtl::WorkItem *item : stream)
+        for (const std::span<const std::int64_t> fields : stream)
             for (const auto &root : roots)
                 sum += static_cast<std::uint64_t>(comp.evalProgram(
-                    root.second, item->fields.data(), scratch.data()));
+                    root.second, fields.data(), scratch.data()));
     });
 
     const double evals_d =

@@ -138,17 +138,16 @@ isCmpOp(Op op)
 bool
 isFieldEqConst(const Expr &e, FieldId &field, std::int64_t &key)
 {
-    static const std::vector<std::int64_t> kNoFields;
     if (e.op() != Op::Eq)
         return false;
     if (e.args()[0]->op() == Op::Field && e.args()[1]->isConstant()) {
         field = e.args()[0]->fieldId();
-        key = e.args()[1]->eval(kNoFields);
+        key = e.args()[1]->eval({});
         return true;
     }
     if (e.args()[1]->op() == Op::Field && e.args()[0]->isConstant()) {
         field = e.args()[1]->fieldId();
-        key = e.args()[0]->eval(kNoFields);
+        key = e.args()[0]->eval({});
         return true;
     }
     return false;
@@ -168,7 +167,6 @@ bool
 foldSelectChain(const Expr &e, std::int64_t scale, std::int64_t &imm,
                 std::vector<ATerm> &terms)
 {
-    static const std::vector<std::int64_t> kNoFields;
     FieldId field = -1;
     std::vector<std::int64_t> keys;
     std::vector<std::int64_t> arms;
@@ -187,12 +185,12 @@ foldSelectChain(const Expr &e, std::int64_t scale, std::int64_t &imm,
             if (seen == k)
                 return false;
         keys.push_back(k);
-        arms.push_back(cur->args()[1]->eval(kNoFields));
+        arms.push_back(cur->args()[1]->eval({}));
         cur = cur->args()[2].get();
     }
     if (keys.size() < 2 || !cur->isConstant())
         return false;
-    const std::int64_t term = cur->eval(kNoFields);
+    const std::int64_t term = cur->eval({});
     imm = addWrap(imm, mulWrap(scale, term));
     for (std::size_t i = 0; i < keys.size(); ++i) {
         ATerm t;
@@ -222,9 +220,8 @@ bool
 collectAffine(const Expr &e, std::int64_t scale, std::int64_t &imm,
               std::vector<ATerm> &terms, bool fold_chains)
 {
-    static const std::vector<std::int64_t> kNoFields;
     if (e.isConstant()) {
-        imm = addWrap(imm, mulWrap(scale, e.eval(kNoFields)));
+        imm = addWrap(imm, mulWrap(scale, e.eval({})));
         return true;
     }
     switch (e.op()) {
@@ -249,13 +246,13 @@ collectAffine(const Expr &e, std::int64_t scale, std::int64_t &imm,
         if (e.args()[0]->isConstant()) {
             return collectAffine(
                 *e.args()[1],
-                mulWrap(scale, e.args()[0]->eval(kNoFields)), imm,
+                mulWrap(scale, e.args()[0]->eval({})), imm,
                 terms, fold_chains);
         }
         if (e.args()[1]->isConstant()) {
             return collectAffine(
                 *e.args()[0],
-                mulWrap(scale, e.args()[1]->eval(kNoFields)), imm,
+                mulWrap(scale, e.args()[1]->eval({})), imm,
                 terms, fold_chains);
         }
         return false;
@@ -268,8 +265,8 @@ collectAffine(const Expr &e, std::int64_t scale, std::int64_t &imm,
                 foldSelectChain(e, scale, imm, terms);
         }
         ATerm t;
-        t.a = mulWrap(scale, ta.eval(kNoFields));
-        t.b = mulWrap(scale, fa.eval(kNoFields));
+        t.a = mulWrap(scale, ta.eval({}));
+        t.b = mulWrap(scale, fa.eval({}));
         if (c.op() == Op::Field) {
             t.kind = 1;
             t.field = c.fieldId();
@@ -279,7 +276,7 @@ collectAffine(const Expr &e, std::int64_t scale, std::int64_t &imm,
             t.kind = 2;
             t.field = c.args()[0]->fieldId();
             t.cmp = c.op();
-            t.z = c.args()[1]->eval(kNoFields);
+            t.z = c.args()[1]->eval({});
         } else {
             return false;
         }
@@ -357,17 +354,12 @@ fieldDomainProduct(const Expr &e, const std::vector<FieldBounds> &bounds,
  */
 constexpr std::uint64_t kMaxFoldDomain = 4096;
 
-/** What one compiled expression looks like before pool placement. */
+/** Where one compiled program sits in the shared code pool. */
 struct ProgramInfo
 {
-    enum class Kind { Const, Field, Program };
-    Kind kind = Kind::Const;
-    std::int64_t imm = 0;
-    FieldId field = -1;
     std::uint32_t first = 0;
     std::uint32_t count = 0;
     std::uint32_t stackNeeded = 0;
-    FieldId maxField = -1;
 };
 
 /**
@@ -385,30 +377,14 @@ class ExprCompiler
     ProgramInfo
     compile(const ExprPtr &tree)
     {
-        static const std::vector<std::int64_t> kNoFields;
         panicIf(!tree, "ExprCompiler: null expression");
         ProgramInfo info;
-        if (tree->isConstant()) {
-            info.kind = ProgramInfo::Kind::Const;
-            info.imm = tree->eval(kNoFields);
-            return info;
-        }
-        if (tree->op() == Op::Field) {
-            info.kind = ProgramInfo::Kind::Field;
-            info.field = tree->fieldId();
-            info.maxField = tree->fieldId();
-            return info;
-        }
-
-        info.kind = ProgramInfo::Kind::Program;
         info.first = static_cast<std::uint32_t>(code.size());
         depth = 0;
         maxDepth = 0;
-        maxField = -1;
         emit(*tree);
         info.count = static_cast<std::uint32_t>(code.size()) - info.first;
         info.stackNeeded = maxDepth;
-        info.maxField = maxField;
         return info;
     }
 
@@ -441,13 +417,11 @@ class ExprCompiler
         // same bytecode a folded tree would get. eval() on a fieldless
         // tree is the reference semantics, so no rule can drift.
         if (e.isConstant()) {
-            static const std::vector<std::int64_t> kNoFields;
-            push(Op::Const, poolIndex(e.eval(kNoFields)));
+            push(Op::Const, poolIndex(e.eval({})));
             return;
         }
         if (e.op() == Op::Field) {
             push(Op::Field, e.fieldId());
-            maxField = std::max(maxField, e.fieldId());
             return;
         }
         for (const ExprPtr &k : e.args())
@@ -461,7 +435,6 @@ class ExprCompiler
     std::map<std::int64_t, int> poolSlots;
     std::uint32_t depth = 0;
     std::uint32_t maxDepth = 0;
-    FieldId maxField = -1;
 };
 
 /** Topological order over startAfter edges (validate() = acyclic). */
@@ -490,41 +463,21 @@ topoSort(const Design &design)
 
 } // namespace
 
-ExprProgram::ExprProgram(const ExprPtr &tree)
+std::uint32_t
+CompiledDesign::lowerBytecode(const ExprPtr &tree,
+                              std::vector<BInstr> &code_out,
+                              std::vector<std::int64_t> &pool_out)
 {
-    ExprCompiler comp(code, pool);
-    const ProgramInfo info = comp.compile(tree);
-    stackNeeded = info.stackNeeded;
-    maxField = info.maxField;
-    switch (info.kind) {
-      case ProgramInfo::Kind::Const:
-        kind = 1;
-        imm = info.imm;
-        break;
-      case ProgramInfo::Kind::Field:
-        kind = 2;
-        fieldRef = info.field;
-        break;
-      case ProgramInfo::Kind::Program:
-        kind = 0;
-        break;
-    }
+    ExprCompiler comp(code_out, pool_out);
+    return comp.compile(tree).stackNeeded;
 }
 
 std::int64_t
-ExprProgram::eval(const std::vector<std::int64_t> &fields) const
+CompiledDesign::runBytecode(const BInstr *code, std::size_t n,
+                            const std::int64_t *literals,
+                            const std::int64_t *fields, std::int64_t *stack)
 {
-    panicIf(maxField >= 0 &&
-            static_cast<std::size_t>(maxField) >= fields.size(),
-            "ExprProgram: field ", maxField, " out of range (item has ",
-            fields.size(), " fields)");
-    if (kind == 1)
-        return imm;
-    if (kind == 2)
-        return fields[fieldRef];
-    std::vector<std::int64_t> stack(stackNeeded);
-    return execProgram(code.data(), code.size(), pool.data(),
-                       fields.data(), stack.data());
+    return execProgram(code, n, literals, fields, stack);
 }
 
 CompiledDesign::CompiledDesign(const Design &design)
@@ -547,10 +500,9 @@ CompiledDesign::CompiledDesign(const Design &design)
     // field-op-constant binary.
     const auto lowerLeaf = [&](const Expr &tree, CExpr &e,
                                std::vector<CTerm> &terms) -> bool {
-        static const std::vector<std::int64_t> kNoFields;
         if (tree.isConstant()) {
             e.kind = CExpr::Kind::Const;
-            e.imm = tree.eval(kNoFields);
+            e.imm = tree.eval({});
             return true;
         }
 
@@ -608,7 +560,7 @@ CompiledDesign::CompiledDesign(const Design &design)
             e.kind = CExpr::Kind::BinFC;
             e.op = tree.op();
             e.field = kids[0]->fieldId();
-            e.imm = kids[1]->eval(kNoFields);
+            e.imm = kids[1]->eval({});
             return true;
         }
         return false;
@@ -1428,7 +1380,7 @@ CompiledDesign::runJob(const JobInput &job, Recorder *recorder,
     std::int64_t *stack = scratch.data();
     std::vector<std::uint64_t> end_time(cfsms.size(), 0);
 
-    for (const WorkItem &item : job.items) {
+    for (const JobItems::ConstItem item : job.items) {
         panicIf(maxFieldRead >= 0 &&
                 static_cast<std::size_t>(maxFieldRead) >=
                     item.fields.size(),
@@ -1625,7 +1577,7 @@ CompiledDesign::runBatch(const JobInput *const *jobs, std::size_t n,
         for (std::size_t l = 0; l < n; ++l) {
             if (t >= jobs[l]->items.size())
                 continue;
-            const WorkItem &item = jobs[l]->items[t];
+            const JobItems::ConstItem item = jobs[l]->items[t];
             panicIf(maxFieldRead >= 0 &&
                     static_cast<std::size_t>(maxFieldRead) >=
                         item.fields.size(),

@@ -128,39 +128,12 @@ struct BatchStats
     }
 };
 
-/**
- * A self-contained compiled expression for tests and tools: owns its
- * code and allocates scratch per eval() call. The hot path inside
- * CompiledDesign shares pools across all of a design's programs
- * instead — use that for anything performance-sensitive.
- */
-class ExprProgram
-{
-  public:
-    explicit ExprProgram(const ExprPtr &tree);
-
-    /** Evaluate against a work item's field values (like Expr::eval). */
-    std::int64_t eval(const std::vector<std::int64_t> &fields) const;
-
-    /** @return instruction count (0 for const/field-specialised). */
-    std::size_t codeLength() const { return code.size(); }
-
-  private:
-    std::vector<BInstr> code;
-    std::vector<std::int64_t> pool;
-    std::uint32_t stackNeeded = 0;
-    FieldId maxField = -1;  //!< Highest field the program reads.
-    // Specialisations: kind 0 = program, 1 = constant, 2 = field.
-    int kind = 0;
-    std::int64_t imm = 0;
-    FieldId fieldRef = -1;
-};
-
 // Translation validation (rtl/verify.hh) and the test-only mutation
 // harness (tests/support/miscompile.hh) inspect/corrupt the private
 // compiled tables, so the compiler grants them friendship instead of
 // exposing the internals.
 class CompiledDesign;
+class ExprProgram;
 struct VerifyReport;
 enum class Miscompile;
 class Verifier;
@@ -328,6 +301,24 @@ class CompiledDesign
     friend VerifyReport verifyCompiledDesign(const CompiledDesign &comp);
     friend std::string injectMiscompile(CompiledDesign &comp,
                                         Miscompile kind, unsigned seed);
+    // The test-support ExprProgram (tests/support/expr_program.hh)
+    // runs single trees through the bytecode path below.
+    friend class ExprProgram;
+
+    /**
+     * Lower @p tree to bytecode alone (no leaf shapes), appending to
+     * @p code_out and @p pool_out. @return the stack slots it needs.
+     */
+    static std::uint32_t lowerBytecode(const ExprPtr &tree,
+                                       std::vector<BInstr> &code_out,
+                                       std::vector<std::int64_t> &pool_out);
+
+    /** Run @p n instructions of bytecode (the evaluator of Program
+     *  nodes); @p stack holds the program's stack slots. */
+    static std::int64_t runBytecode(const BInstr *code, std::size_t n,
+                                    const std::int64_t *literals,
+                                    const std::int64_t *fields,
+                                    std::int64_t *stack);
 
     /**
      * A compiled expression: a typed node in a flat table. Design

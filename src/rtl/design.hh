@@ -26,11 +26,14 @@
 #ifndef PREDVFS_RTL_DESIGN_HH
 #define PREDVFS_RTL_DESIGN_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "rtl/expr.hh"
+#include "util/logging.hh"
 
 namespace predvfs {
 namespace rtl {
@@ -40,10 +43,156 @@ using CounterId = int;
 using FsmId = int;
 using BlockId = int;
 
-/** One unit of input consumed by the accelerator (all-integer fields). */
+/**
+ * One unit of input consumed by the accelerator (all-integer fields),
+ * as a standalone value: how a single item is built before it is
+ * appended to a job (JobItems::push_back).
+ */
 struct WorkItem
 {
     std::vector<std::int64_t> fields;
+};
+
+/** One item inside a JobItems: its fields, in place. */
+template <typename T>
+struct ItemView
+{
+    std::span<T> fields;
+};
+
+/**
+ * A job's work items stored flat (compressed rows): every item's
+ * fields back to back in one value buffer, plus each item's end offset
+ * into it. A job of n items costs two allocations instead of n + 1,
+ * and 4 bytes per item instead of a vector header and a heap block.
+ *
+ * Items may be ragged (any field count, zero included); the executors
+ * check each item's arity against the design. Element access yields
+ * an ItemView whose span stays valid until the next append.
+ */
+class JobItems
+{
+  public:
+    using Item = ItemView<std::int64_t>;
+    using ConstItem = ItemView<const std::int64_t>;
+
+    /** Iterator over items; tracks the current item's first value. */
+    template <typename Ref, typename Value>
+    class Iter
+    {
+      public:
+        Iter(Value *values, const std::uint32_t *ends, std::size_t first)
+            : vals(values), end(ends), start(first)
+        {}
+
+        Ref
+        operator*() const
+        {
+            return {{vals + start, *end - start}};
+        }
+
+        Iter &
+        operator++()
+        {
+            start = *end++;
+            return *this;
+        }
+
+        bool operator==(const Iter &o) const { return end == o.end; }
+
+      private:
+        Value *vals;
+        const std::uint32_t *end;
+        std::size_t start;
+    };
+
+    using iterator = Iter<Item, std::int64_t>;
+    using const_iterator = Iter<ConstItem, const std::int64_t>;
+
+    std::size_t size() const { return ends.size(); }
+    bool empty() const { return ends.empty(); }
+
+    Item
+    operator[](std::size_t i)
+    {
+        return {{values.data() + first(i), ends[i] - first(i)}};
+    }
+
+    ConstItem
+    operator[](std::size_t i) const
+    {
+        return {{values.data() + first(i), ends[i] - first(i)}};
+    }
+
+    iterator begin() { return {values.data(), ends.data(), 0}; }
+    iterator
+    end()
+    {
+        return {values.data(), ends.data() + ends.size(), 0};
+    }
+    const_iterator
+    begin() const
+    {
+        return {values.data(), ends.data(), 0};
+    }
+    const_iterator
+    end() const
+    {
+        return {values.data(), ends.data() + ends.size(), 0};
+    }
+
+    /** Reserve room for @p items items holding @p fields values. */
+    void
+    reserve(std::size_t items, std::size_t fields)
+    {
+        ends.reserve(items);
+        values.reserve(fields);
+    }
+
+    void
+    clear()
+    {
+        ends.clear();
+        values.clear();
+    }
+
+    /**
+     * Append one item of @p num_fields zero fields.
+     * @return its fields, writable until the next append.
+     */
+    std::span<std::int64_t>
+    appendItem(std::size_t num_fields)
+    {
+        const std::size_t at = values.size();
+        util::panicIf(num_fields > UINT32_MAX - at,
+                      "JobItems: more than 2^32 - 1 field values");
+        values.resize(at + num_fields);
+        ends.push_back(static_cast<std::uint32_t>(at + num_fields));
+        return {values.data() + at, num_fields};
+    }
+
+    /** Append a copy of @p item. */
+    void
+    push_back(const WorkItem &item)
+    {
+        const std::span<std::int64_t> f = appendItem(item.fields.size());
+        std::copy(item.fields.begin(), item.fields.end(), f.begin());
+    }
+
+    /** Every item's fields, back to back. */
+    std::span<const std::int64_t> fieldValues() const { return values; }
+
+    bool operator==(const JobItems &o) const = default;
+
+  private:
+    std::size_t
+    first(std::size_t i) const
+    {
+        return i == 0 ? 0 : ends[i - 1];
+    }
+
+    std::vector<std::int64_t> values;
+    std::vector<std::uint32_t> ends;
 };
 
 /**
@@ -61,7 +210,9 @@ struct FieldBounds
 /** The complete input of one job (one deadline-bearing invocation). */
 struct JobInput
 {
-    std::vector<WorkItem> items;
+    JobItems items;
+
+    bool operator==(const JobInput &o) const = default;
 };
 
 /** Direction of a hardware counter. */

@@ -252,7 +252,7 @@ Expr::fieldId() const
 }
 
 std::int64_t
-Expr::eval(const std::vector<std::int64_t> &fields) const
+Expr::eval(std::span<const std::int64_t> fields) const
 {
     switch (opTag) {
       case Op::Const:

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -172,7 +173,7 @@ class Expr
      * @param fields Field values indexed by FieldId.
      * @return 64-bit result; comparisons yield 0/1.
      */
-    std::int64_t eval(const std::vector<std::int64_t> &fields) const;
+    std::int64_t eval(std::span<const std::int64_t> fields) const;
 
     /** Accumulate every FieldId read anywhere in this tree. */
     void collectFields(std::set<FieldId> &out) const;

@@ -47,8 +47,8 @@ Interpreter::run(const JobInput &job, Recorder *recorder,
 }
 
 std::uint64_t
-Interpreter::runFsm(FsmId id, const WorkItem &item, Recorder *recorder,
-                    double &energy_units) const
+Interpreter::runFsm(FsmId id, std::span<const std::int64_t> fields,
+                    Recorder *recorder, double &energy_units) const
 {
     const Design &dsn = comp->design();
     const Fsm &fsm = dsn.fsms()[id];
@@ -73,7 +73,7 @@ Interpreter::runFsm(FsmId id, const WorkItem &item, Recorder *recorder,
             break;
           case LatencyKind::CounterWait: {
             const Counter &c = counters[st.counter];
-            std::int64_t range = c.range->eval(item.fields);
+            std::int64_t range = c.range->eval(fields);
             if (range < 1)
                 range = 1;
             // An arm-only state (slicer output) computes the counter's
@@ -98,7 +98,7 @@ Interpreter::runFsm(FsmId id, const WorkItem &item, Recorder *recorder,
             break;
           }
           case LatencyKind::Implicit: {
-            std::int64_t lat = st.implicitLatency->eval(item.fields);
+            std::int64_t lat = st.implicitLatency->eval(fields);
             if (lat < 1)
                 lat = 1;
             dwell = static_cast<std::uint64_t>(lat);
@@ -118,7 +118,7 @@ Interpreter::runFsm(FsmId id, const WorkItem &item, Recorder *recorder,
 
         StateId next = -1;
         for (const auto &t : st.transitions) {
-            if (!t.guard || t.guard->eval(item.fields) != 0) {
+            if (!t.guard || t.guard->eval(fields) != 0) {
                 next = t.dst;
                 break;
             }
@@ -163,7 +163,7 @@ Interpreter::runReference(const JobInput &job, Recorder *recorder,
             const FsmId dep = fsms[id].startAfter;
             const std::uint64_t start = dep < 0 ? 0 : end_time[dep];
             const std::uint64_t lat =
-                runFsm(id, item, recorder, result.energyUnits);
+                runFsm(id, item.fields, recorder, result.energyUnits);
             end_time[id] = start + lat;
             item_latency = std::max(item_latency, end_time[id]);
         }

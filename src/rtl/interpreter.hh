@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "rtl/design.hh"
@@ -130,7 +131,7 @@ class Interpreter
 
   private:
     /** Tree-walk one FSM over one item; returns its latency in cycles. */
-    std::uint64_t runFsm(FsmId id, const WorkItem &item,
+    std::uint64_t runFsm(FsmId id, std::span<const std::int64_t> fields,
                          Recorder *recorder, double &energy_units) const;
 
     std::shared_ptr<const CompiledDesign> comp;

@@ -233,7 +233,7 @@ encodePredict(const PredictMsg &msg)
     w.u64(msg.requestId);
     w.u64(msg.deadlineMicros);
     w.u32(static_cast<std::uint32_t>(msg.job.items.size()));
-    for (const rtl::WorkItem &item : msg.job.items) {
+    for (const rtl::JobItems::ConstItem item : msg.job.items) {
         w.u32(static_cast<std::uint32_t>(item.fields.size()));
         for (const std::int64_t f : item.fields)
             w.i64(f);
@@ -249,20 +249,19 @@ decodePredict(const std::vector<std::uint8_t> &payload, PredictMsg &out)
     out.requestId = r.u64();
     out.deadlineMicros = r.u64();
     const std::uint32_t items = r.u32();
-    // Counts are attacker-controlled: never reserve() from them beyond
-    // what the remaining payload could actually hold (4 bytes per item
-    // minimum), so a forged count of 2^32 cannot drive allocation.
+    // Counts are attacker-controlled: never size anything from them
+    // beyond what the remaining payload could actually hold (4 bytes
+    // per item, 8 per field), so a forged count of 2^32 cannot drive
+    // allocation.
     out.job.items.clear();
-    out.job.items.reserve(
-        std::min<std::size_t>(items, payload.size() / 4 + 1));
+    out.job.items.reserve(std::min<std::size_t>(items, payload.size() / 4),
+                          payload.size() / 8);
     for (std::uint32_t i = 0; i < items && r.ok(); ++i) {
-        rtl::WorkItem item;
         const std::uint32_t fields = r.u32();
-        item.fields.reserve(
-            std::min<std::size_t>(fields, payload.size() / 8 + 1));
-        for (std::uint32_t f = 0; f < fields && r.ok(); ++f)
-            item.fields.push_back(r.i64());
-        out.job.items.push_back(std::move(item));
+        if (!r.take(std::size_t{fields} * 8))
+            break;
+        for (std::int64_t &f : out.job.items.appendItem(fields))
+            f = r.i64();
     }
     return r.done();
 }

@@ -12,7 +12,6 @@
 #include "core/predictive_controller.hh"
 #include "core/table_controller.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace predvfs {
 namespace sim {
@@ -54,8 +53,8 @@ fpgaLutShare(const std::string &name)
 
 /**
  * Registry of prepared streams, keyed by every option that can change
- * a stream's content. A shared_future per key lets concurrent matrix
- * workers build *different* streams in parallel while same-key
+ * a stream's content. A shared_future per key lets concurrent
+ * Experiments build *different* streams in parallel while same-key
  * requesters wait for the first builder instead of duplicating the
  * flow training and the simulation.
  */
@@ -146,22 +145,12 @@ Experiment::Experiment(const std::string &benchmark,
         flow_config.sliceOptions = opts.sliceOptions;
         s->flow = core::buildPredictor(accelPtr->design(),
                                        s->work.train, flow_config);
-        if (opts.prepareThreads > 1) {
-            util::ThreadPool pool(opts.prepareThreads);
-            s->trainJobs = simEngine->prepare(
-                s->work.train, s->flow.predictor.get(), nullptr, &pool,
-                &s->trainPrepare);
-            s->testJobs = simEngine->prepare(
-                s->work.test, s->flow.predictor.get(), nullptr, &pool,
-                &s->testPrepare);
-        } else {
-            s->trainJobs = simEngine->prepare(
-                s->work.train, s->flow.predictor.get(), nullptr,
-                nullptr, &s->trainPrepare);
-            s->testJobs = simEngine->prepare(
-                s->work.test, s->flow.predictor.get(), nullptr,
-                nullptr, &s->testPrepare);
-        }
+        s->trainJobs = simEngine->prepare(s->work.train,
+                                          s->flow.predictor.get(), nullptr,
+                                          nullptr, &s->trainPrepare);
+        s->testJobs = simEngine->prepare(s->work.test,
+                                         s->flow.predictor.get(), nullptr,
+                                         nullptr, &s->testPrepare);
         return s;
     };
 
@@ -336,39 +325,6 @@ Experiment::meanSliceEnergyFraction() const
         job_units += job.energyUnits;
     }
     return job_units > 0.0 ? slice_units / job_units : 0.0;
-}
-
-std::vector<MatrixCell>
-runExperimentMatrix(const std::vector<std::string> &benchmarks,
-                    const std::vector<Scheme> &schemes,
-                    const ExperimentOptions &options,
-                    util::ThreadPool *pool)
-{
-    std::vector<MatrixCell> cells(benchmarks.size() * schemes.size());
-
-    // One unit of work = one benchmark: the Experiment (flow training,
-    // stream preparation) dominates, and its scheme runs share caches.
-    // Each worker writes only its benchmark's row, keeping the output
-    // independent of sharding.
-    const auto runRow = [&](std::size_t b) {
-        Experiment exp(benchmarks[b], options);
-        for (std::size_t s = 0; s < schemes.size(); ++s) {
-            MatrixCell &cell = cells[b * schemes.size() + s];
-            cell.benchmark = benchmarks[b];
-            cell.scheme = schemes[s];
-            cell.metrics = exp.runScheme(schemes[s]);
-            cell.normalizedEnergy = exp.normalizedEnergy(schemes[s]);
-        }
-    };
-
-    if (pool && pool->workers() > 1) {
-        pool->run(benchmarks.size(),
-                  [&](unsigned, std::size_t b) { runRow(b); });
-    } else {
-        for (std::size_t b = 0; b < benchmarks.size(); ++b)
-            runRow(b);
-    }
-    return cells;
 }
 
 } // namespace sim

@@ -64,13 +64,6 @@ struct ExperimentOptions
     core::FlowConfig flowConfig = {};//!< sliceOptions is overwritten.
 
     /**
-     * Workers for preparing the train/test streams (1 = serial).
-     * Prepared records are bit-identical at any value; this only
-     * changes wall-clock time.
-     */
-    unsigned prepareThreads = 1;
-
-    /**
      * Share the prepared stream (workload, trained predictor, job
      * records) across Experiment instances whose cells differ only in
      * deadline, switch time, margins, platform, or controller — the
@@ -194,30 +187,6 @@ class Experiment
     std::map<Scheme, RunMetrics> cache;
     std::optional<core::PidConfig> tunedPid;
 };
-
-/** One (benchmark, scheme) result of an experiment matrix. */
-struct MatrixCell
-{
-    std::string benchmark;
-    Scheme scheme = Scheme::Baseline;
-    RunMetrics metrics;
-    double normalizedEnergy = 0.0;  //!< Against the same benchmark's
-                                    //!< baseline scheme.
-};
-
-/**
- * Evaluate every scheme on every benchmark — the shape of the paper's
- * summary figures. Cells are ordered benchmark-major, matching the
- * input vectors. With a pool, benchmarks are sharded over its workers
- * (each one builds its own Experiment); every cell is computed from
- * that benchmark's data alone, so results are identical to a serial
- * sweep at any worker count.
- */
-std::vector<MatrixCell>
-runExperimentMatrix(const std::vector<std::string> &benchmarks,
-                    const std::vector<Scheme> &schemes,
-                    const ExperimentOptions &options = {},
-                    util::ThreadPool *pool = nullptr);
 
 } // namespace sim
 } // namespace predvfs

@@ -111,15 +111,11 @@ JobCache::hashDesign(const rtl::Design &design)
 std::vector<std::int64_t>
 JobCache::canonicalKey(std::uint64_t stream_key, const rtl::JobInput &job)
 {
-    std::size_t total = 2 + job.items.size();
-    for (const rtl::WorkItem &item : job.items)
-        total += item.fields.size();
-
     std::vector<std::int64_t> key;
-    key.reserve(total);
+    key.reserve(2 + job.items.size() + job.items.fieldValues().size());
     key.push_back(static_cast<std::int64_t>(stream_key));
     key.push_back(static_cast<std::int64_t>(job.items.size()));
-    for (const rtl::WorkItem &item : job.items) {
+    for (const rtl::JobItems::ConstItem item : job.items) {
         key.push_back(static_cast<std::int64_t>(item.fields.size()));
         key.insert(key.end(), item.fields.begin(), item.fields.end());
     }
@@ -132,14 +128,13 @@ JobCache::hashJob(std::uint64_t stream_key, const rtl::JobInput &job)
     // Must equal hashBytes(canonicalKey(...)) — same word sequence,
     // same length fold — while touching the job in place. On a
     // little-endian int64 array the byte stream is the word stream.
-    std::size_t total = 2 + job.items.size();
-    for (const rtl::WorkItem &item : job.items)
-        total += item.fields.size();
+    const std::size_t total =
+        2 + job.items.size() + job.items.fieldValues().size();
 
     WordHasher hasher;
     hasher.push(stream_key);
     hasher.push(static_cast<std::uint64_t>(job.items.size()));
-    for (const rtl::WorkItem &item : job.items) {
+    for (const rtl::JobItems::ConstItem item : job.items) {
         hasher.push(static_cast<std::uint64_t>(item.fields.size()));
         for (const std::int64_t f : item.fields)
             hasher.push(static_cast<std::uint64_t>(f));
@@ -158,7 +153,7 @@ JobCache::keyMatchesJob(const std::vector<std::int64_t> &key,
         key[1] != static_cast<std::int64_t>(job.items.size()))
         return false;
     pos = 2;
-    for (const rtl::WorkItem &item : job.items) {
+    for (const rtl::JobItems::ConstItem item : job.items) {
         if (pos + 1 + item.fields.size() > key.size() ||
             key[pos] != static_cast<std::int64_t>(item.fields.size()))
             return false;

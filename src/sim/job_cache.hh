@@ -21,7 +21,7 @@
  * Eviction is a strict LRU over a byte budget. For a serial probe
  * sequence the hit/miss/eviction history is a pure function of the
  * sequence and the capacity — the determinism the eviction tests pin
- * down. Under concurrent use (experiment-matrix sharding) the
+ * down. Under concurrent use (prepare() workers, server shards) the
  * interleaving of probes is schedule-dependent, so hit *rates* may
  * vary run to run, but never values: a hit returns exactly the bytes
  * an insert stored, and the full canonical key is compared on lookup,

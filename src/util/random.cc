@@ -105,9 +105,9 @@ Rng::bernoulli(double p)
 }
 
 std::size_t
-Rng::categorical(const std::vector<double> &weights)
+Rng::categorical(std::initializer_list<double> weights)
 {
-    panicIf(weights.empty(), "categorical: no weights");
+    panicIf(weights.size() == 0, "categorical: no weights");
     double total = 0.0;
     for (double w : weights) {
         panicIf(w < 0.0, "categorical: negative weight ", w);
@@ -115,10 +115,12 @@ Rng::categorical(const std::vector<double> &weights)
     }
     panicIf(total <= 0.0, "categorical: weights sum to zero");
     double x = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        x -= weights[i];
+    std::size_t i = 0;
+    for (double w : weights) {
+        x -= w;
         if (x < 0.0)
             return i;
+        ++i;
     }
     return weights.size() - 1;
 }

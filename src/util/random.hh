@@ -13,7 +13,7 @@
 #define PREDVFS_UTIL_RANDOM_HH
 
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
 
 namespace predvfs {
 namespace util {
@@ -55,9 +55,10 @@ class Rng
      * Sample an index from a discrete distribution.
      *
      * @param weights Non-negative weights; need not be normalised.
+     *        A braced list, so a draw allocates nothing.
      * @return index in [0, weights.size()).
      */
-    std::size_t categorical(const std::vector<double> &weights);
+    std::size_t categorical(std::initializer_list<double> weights);
 
     /** @return a geometric-ish burst length in [1, max_len]. */
     std::int64_t burstLength(double continue_prob, std::int64_t max_len);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "accel/aes.hh"
 #include "accel/sha.hh"
@@ -80,16 +81,18 @@ makeAesBuffers(const rtl::Design &design,
         const std::int64_t key_rounds =
             key_pick == 0 ? 10 : key_pick == 1 ? 12 : 14;
 
+        const auto segs =
+            static_cast<std::size_t>((blocks + seg_blocks - 1) / seg_blocks);
         rtl::JobInput job;
+        job.items.reserve(segs, segs * num_fields);
         bool first = true;
         while (blocks > 0) {
-            rtl::WorkItem item;
-            item.fields.assign(num_fields, 0);
-            item.fields[f.blocks] = std::min(blocks, seg_blocks);
-            item.fields[f.cbcMode] = cbc ? 1 : 0;
-            item.fields[f.keyRounds] = key_rounds;
-            item.fields[f.firstSeg] = first ? 1 : 0;
-            job.items.push_back(std::move(item));
+            const std::span<std::int64_t> fields =
+                job.items.appendItem(num_fields);
+            fields[f.blocks] = std::min(blocks, seg_blocks);
+            fields[f.cbcMode] = cbc ? 1 : 0;
+            fields[f.keyRounds] = key_rounds;
+            fields[f.firstSeg] = first ? 1 : 0;
             blocks -= seg_blocks;
             first = false;
         }
@@ -114,14 +117,16 @@ makeShaBuffers(const rtl::Design &design,
         const std::int64_t bytes = sizes.next();
         std::int64_t chunks = std::max<std::int64_t>(1, bytes / 64);
 
+        const auto segs =
+            static_cast<std::size_t>((chunks + seg_chunks - 1) / seg_chunks);
         rtl::JobInput job;
+        job.items.reserve(segs, segs * num_fields);
         while (chunks > 0) {
-            rtl::WorkItem item;
-            item.fields.assign(num_fields, 0);
-            item.fields[f.chunks] = std::min(chunks, seg_chunks);
+            const std::span<std::int64_t> fields =
+                job.items.appendItem(num_fields);
+            fields[f.chunks] = std::min(chunks, seg_chunks);
             chunks -= seg_chunks;
-            item.fields[f.lastSeg] = chunks <= 0 ? 1 : 0;
-            job.items.push_back(std::move(item));
+            fields[f.lastSeg] = chunks <= 0 ? 1 : 0;
         }
         corpus.push_back(std::move(job));
     }

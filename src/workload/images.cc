@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "accel/cjpeg.hh"
 #include "accel/djpeg.hh"
@@ -100,16 +101,16 @@ makeEncodeImages(const rtl::Design &design,
             ((shape.width + 15) / 16) * ((shape.height + 15) / 16);
 
         rtl::JobInput job;
-        job.items.reserve(static_cast<std::size_t>(mcus));
+        job.items.reserve(static_cast<std::size_t>(mcus),
+                          static_cast<std::size_t>(mcus) * num_fields);
         for (int m = 0; m < mcus; ++m) {
-            rtl::WorkItem item;
-            item.fields.assign(num_fields, 0);
+            const std::span<std::int64_t> fields =
+                job.items.appendItem(num_fields);
             // Non-zero quantised coefficients track local detail;
             // detail clusters within an image.
-            item.fields[f.nonzeroCoeffs] = clampI(
+            fields[f.nonzeroCoeffs] = clampI(
                 rng.normal(shape.complexity * 130.0, 34.0), 0, 378);
-            item.fields[f.chromaSub] = shape.chromaSub ? 1 : 0;
-            job.items.push_back(std::move(item));
+            fields[f.chromaSub] = shape.chromaSub ? 1 : 0;
         }
         corpus.push_back(std::move(job));
     }
@@ -133,15 +134,15 @@ makeDecodeImages(const rtl::Design &design,
             ((shape.width + 15) / 16) * ((shape.height + 15) / 16);
 
         rtl::JobInput job;
-        job.items.reserve(static_cast<std::size_t>(mcus));
+        job.items.reserve(static_cast<std::size_t>(mcus),
+                          static_cast<std::size_t>(mcus) * num_fields);
         for (int m = 0; m < mcus; ++m) {
-            rtl::WorkItem item;
-            item.fields.assign(num_fields, 0);
-            item.fields[f.acCoeffs] = clampI(
+            const std::span<std::int64_t> fields =
+                job.items.appendItem(num_fields);
+            fields[f.acCoeffs] = clampI(
                 rng.normal(shape.complexity * 95.0, 28.0), 0, 378);
-            item.fields[f.runPattern] = rng.uniformInt(0, 255);
-            item.fields[f.chromaSub] = shape.chromaSub ? 1 : 0;
-            job.items.push_back(std::move(item));
+            fields[f.runPattern] = rng.uniformInt(0, 255);
+            fields[f.chromaSub] = shape.chromaSub ? 1 : 0;
         }
         corpus.push_back(std::move(job));
     }
@@ -163,14 +164,15 @@ makeStencilImages(const rtl::Design &design,
         const ImageShape shape = stream.next();
 
         rtl::JobInput job;
-        job.items.reserve(static_cast<std::size_t>(shape.height));
+        job.items.reserve(static_cast<std::size_t>(shape.height),
+                          static_cast<std::size_t>(shape.height) *
+                              num_fields);
         for (int row = 0; row < shape.height; ++row) {
-            rtl::WorkItem item;
-            item.fields.assign(num_fields, 0);
-            item.fields[f.width] = shape.width;
-            item.fields[f.boundary] =
+            const std::span<std::int64_t> fields =
+                job.items.appendItem(num_fields);
+            fields[f.width] = shape.width;
+            fields[f.boundary] =
                 (row == 0 || row == shape.height - 1) ? 1 : 0;
-            job.items.push_back(std::move(item));
         }
         corpus.push_back(std::move(job));
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "accel/md.hh"
 #include "util/logging.hh"
@@ -51,18 +52,19 @@ makeMdTimesteps(const rtl::Design &design, const MdTraceOptions &options,
                            std::max(options.minDensity, density));
 
         rtl::JobInput job;
-        job.items.reserve(static_cast<std::size_t>(options.particles));
+        job.items.reserve(static_cast<std::size_t>(options.particles),
+                          static_cast<std::size_t>(options.particles) *
+                              num_fields);
         for (int p = 0; p < options.particles; ++p) {
-            rtl::WorkItem item;
-            item.fields.assign(num_fields, 0);
+            const std::span<std::int64_t> fields =
+                job.items.appendItem(num_fields);
             const double n =
                 rng.normal(density, std::sqrt(density) * 1.2);
-            item.fields[f.neighbors] = std::max<std::int64_t>(
+            fields[f.neighbors] = std::max<std::int64_t>(
                 0, std::min<std::int64_t>(
                        static_cast<std::int64_t>(
                            options.maxDensity * 1.5),
                        static_cast<std::int64_t>(std::llround(n))));
-            job.items.push_back(std::move(item));
         }
         trace.push_back(std::move(job));
     }

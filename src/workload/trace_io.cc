@@ -1,5 +1,6 @@
 #include "workload/trace_io.hh"
 
+#include <span>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -82,14 +83,14 @@ readTraceCsv(std::istream &is, const rtl::Design &design)
             ++expected_job;
         }
 
-        rtl::WorkItem item;
-        item.fields.reserve(design.numFields());
-        for (std::size_t f = 0; f < design.numFields(); ++f) {
+        const std::span<std::int64_t> fields =
+            jobs.back().items.appendItem(design.numFields());
+        for (std::size_t f = 0; f < fields.size(); ++f) {
             fatalIf(!std::getline(row, cell, ','), "trace line ",
                     line_no, ": missing field ",
                     design.fieldNames()[f]);
             try {
-                item.fields.push_back(std::stoll(cell));
+                fields[f] = std::stoll(cell);
             } catch (...) {
                 fatal("trace line ", line_no, ": bad value '", cell,
                       "'");
@@ -97,7 +98,6 @@ readTraceCsv(std::istream &is, const rtl::Design &design)
         }
         fatalIf(static_cast<bool>(std::getline(row, cell, ',')),
                 "trace line ", line_no, ": extra columns");
-        jobs.back().items.push_back(std::move(item));
     }
 
     // Drop trailing empty jobs (ids may have been sparse at the end).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "accel/h264.hh"
 #include "util/logging.hh"
@@ -91,11 +92,13 @@ makeVideoClip(const rtl::Design &design, const VideoProfile &profile,
         frames_since_intra = intra_frame ? 0 : frames_since_intra + 1;
 
         rtl::JobInput job;
-        job.items.reserve(static_cast<std::size_t>(mbs_per_frame));
+        job.items.reserve(static_cast<std::size_t>(mbs_per_frame),
+                          static_cast<std::size_t>(mbs_per_frame) *
+                              num_fields);
 
         for (int mb = 0; mb < mbs_per_frame; ++mb) {
-            rtl::WorkItem item;
-            item.fields.assign(num_fields, 0);
+            const std::span<std::int64_t> fields =
+                job.items.appendItem(num_fields);
 
             std::int64_t mb_type;
             if (intra_frame) {
@@ -113,7 +116,7 @@ makeVideoClip(const rtl::Design &design, const VideoProfile &profile,
                 mb_type = pick == 0 ? 4 : pick == 1 ? 2 : pick == 3 ?
                     (rng.bernoulli(0.6) ? 1 : 0) : 3;
             }
-            item.fields[f.mbType] = mb_type;
+            fields[f.mbType] = mb_type;
 
             const bool is_intra = mb_type <= 1;
             const bool is_skip = mb_type == 4;
@@ -134,8 +137,8 @@ makeVideoClip(const rtl::Design &design, const VideoProfile &profile,
                                22.0),
                     0, 384);
             }
-            item.fields[f.coeffCount] = coeff;
-            item.fields[f.cbpBlocks] =
+            fields[f.coeffCount] = coeff;
+            fields[f.cbpBlocks] =
                 std::min<std::int64_t>(24, (coeff + 9) / 12);
 
             if (!is_intra && !is_skip) {
@@ -144,21 +147,20 @@ makeVideoClip(const rtl::Design &design, const VideoProfile &profile,
                 const double p_half = 0.30;
                 const std::size_t pick = rng.categorical(
                     {1.0 - p_quarter - p_half, p_half, p_quarter});
-                item.fields[f.mvFrac] = static_cast<std::int64_t>(pick);
-                item.fields[f.refParts] =
+                fields[f.mvFrac] = static_cast<std::int64_t>(pick);
+                fields[f.refParts] =
                     mb_type == 3 ? (rng.bernoulli(0.5) ? 4 : 2) : 1;
             } else if (is_skip) {
-                item.fields[f.mvFrac] = 0;
-                item.fields[f.refParts] = 1;
+                fields[f.mvFrac] = 0;
+                fields[f.refParts] = 1;
             }
 
-            std::int64_t edges = 4 + item.fields[f.cbpBlocks] * 3 / 2;
+            std::int64_t edges = 4 + fields[f.cbpBlocks] * 3 / 2;
             if (is_intra)
                 edges += 10;
-            item.fields[f.deblockEdges] = std::min<std::int64_t>(
+            fields[f.deblockEdges] = std::min<std::int64_t>(
                 48, is_skip ? 0 : edges);
 
-            job.items.push_back(std::move(item));
         }
         clip.push_back(std::move(job));
     }

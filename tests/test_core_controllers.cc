@@ -35,6 +35,16 @@ struct Fixture
     }
 };
 
+/** A job of @p n field-less items (only its size matters here). */
+rtl::JobInput
+jobOfSize(std::size_t n)
+{
+    rtl::JobInput job;
+    for (std::size_t i = 0; i < n; ++i)
+        job.items.appendItem(0);
+    return job;
+}
+
 } // namespace
 
 TEST(BaselineController, AlwaysFixedLevel)
@@ -125,13 +135,11 @@ TEST(TableController, UsesWorstCasePerClass)
         {16, 3e-3}, {16, 4e-3}, {1024, 10e-3}, {1024, 12e-3}};
     TableController table(f.table, 250e6, f.dvfs, profile);
 
-    rtl::JobInput small_input;
-    small_input.items.resize(16);
+    const rtl::JobInput small_input = jobOfSize(16);
     PreparedJob small = f.job(2e-3);
     small.input = &small_input;
 
-    rtl::JobInput large_input;
-    large_input.items.resize(1024);
+    const rtl::JobInput large_input = jobOfSize(1024);
     PreparedJob large = f.job(9e-3);
     large.input = &large_input;
 
@@ -149,8 +157,8 @@ TEST(TableController, UnseenClassFallsBackToGlobalWorst)
         {16, 3e-3}, {1024, 12e-3}};
     TableController table(f.table, 250e6, f.dvfs, profile);
 
-    rtl::JobInput odd_input;
-    odd_input.items.resize(100000);  // Class never profiled.
+    // Class never profiled.
+    const rtl::JobInput odd_input = jobOfSize(100000);
     PreparedJob odd = f.job(5e-3);
     odd.input = &odd_input;
 

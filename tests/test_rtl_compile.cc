@@ -21,6 +21,7 @@
 #include "rtl/compile.hh"
 #include "rtl/interpreter.hh"
 #include "rtl/slicer.hh"
+#include "support/expr_program.hh"
 #include "util/random.hh"
 #include "workload/suite.hh"
 
@@ -430,7 +431,7 @@ TEST_P(CompileBenchmarks, RootProgramsMatchSourceTrees)
     const workload::BenchmarkWorkload work = workload::makeWorkload(*acc);
     for (std::size_t j = 0; j < std::min<std::size_t>(4, work.test.size());
          ++j) {
-        for (const WorkItem &item : work.test[j].items) {
+        for (const auto &item : work.test[j].items) {
             for (std::size_t i = 0; i < roots.size(); ++i) {
                 ASSERT_EQ(compiled.evalProgram(roots[i].second,
                                                item.fields.data(),
@@ -582,7 +583,7 @@ TEST(Compile, SpecialisesConstantAndFieldPrograms)
 
     const ExprProgram f(fld(2));
     EXPECT_EQ(f.codeLength(), 0u);
-    EXPECT_EQ(f.eval({10, 20, 30}), 30);
+    EXPECT_EQ(f.eval(std::vector<std::int64_t>{10, 20, 30}), 30);
 }
 
 TEST(Compile, ShortCircuitOperatorsAgreeEagerly)

@@ -20,6 +20,7 @@
 #include "rtl/expr.hh"
 #include "rtl/interval.hh"
 #include "rtl/verify.hh"
+#include "support/expr_program.hh"
 
 using namespace predvfs;
 using namespace predvfs::rtl;

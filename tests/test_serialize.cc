@@ -48,7 +48,7 @@ TEST(SerializeExpr, NegativeLiterals)
 {
     const auto e = Expr::add(lit(-17), fld(0));
     const auto parsed = parseExpr(serializeExpr(e));
-    EXPECT_EQ(parsed->eval({3}), -14);
+    EXPECT_EQ(parsed->eval(std::vector<std::int64_t>{3}), -14);
 }
 
 TEST(SerializeExprDeath, MalformedInputFatal)

@@ -120,7 +120,7 @@ TEST(JobCache, KeysSeparateJobsAndStreams)
     EXPECT_FALSE(cache.lookup(1, jobOf(6), out));
     EXPECT_FALSE(cache.lookup(2, jobOf(5), out));
     rtl::JobInput two_items = jobOf(5);
-    two_items.items.push_back(two_items.items.front());
+    two_items.items.push_back({{5}});
     EXPECT_FALSE(cache.lookup(1, two_items, out));
     EXPECT_TRUE(cache.lookup(1, jobOf(5), out));
     EXPECT_EQ(cache.stats().misses, 3u);

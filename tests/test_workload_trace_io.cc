@@ -26,12 +26,8 @@ TEST(TraceIo, RoundTripsGeneratedWorkload)
         workload::readTraceCsv(buffer, acc->design());
 
     ASSERT_EQ(reloaded.size(), work.test.size());
-    for (std::size_t j = 0; j < reloaded.size(); ++j) {
-        ASSERT_EQ(reloaded[j].items.size(), work.test[j].items.size());
-        for (std::size_t i = 0; i < reloaded[j].items.size(); ++i)
-            EXPECT_EQ(reloaded[j].items[i].fields,
-                      work.test[j].items[i].fields);
-    }
+    for (std::size_t j = 0; j < reloaded.size(); ++j)
+        EXPECT_TRUE(reloaded[j] == work.test[j]) << "job " << j;
 
     // Behavioural identity: the reloaded trace simulates identically.
     rtl::Interpreter interp(acc->design());

@@ -41,34 +41,14 @@ TEST_P(WorkloadSuite, ReproducibleFromSeed)
 {
     const auto again = workload::makeWorkload(*acc);
     ASSERT_EQ(work.test.size(), again.test.size());
-    for (std::size_t j = 0; j < work.test.size(); ++j) {
-        ASSERT_EQ(work.test[j].items.size(),
-                  again.test[j].items.size());
-        for (std::size_t i = 0; i < work.test[j].items.size(); ++i)
-            EXPECT_EQ(work.test[j].items[i].fields,
-                      again.test[j].items[i].fields);
-    }
+    for (std::size_t j = 0; j < work.test.size(); ++j)
+        EXPECT_TRUE(work.test[j] == again.test[j]) << "job " << j;
 }
 
 TEST_P(WorkloadSuite, DifferentSeedsDiffer)
 {
     const auto other = workload::makeWorkload(*acc, 999);
-    bool any_difference = other.test.size() != work.test.size();
-    for (std::size_t j = 0;
-         !any_difference && j < work.test.size(); ++j) {
-        if (other.test[j].items.size() != work.test[j].items.size()) {
-            any_difference = true;
-            break;
-        }
-        for (std::size_t i = 0; i < work.test[j].items.size(); ++i) {
-            if (other.test[j].items[i].fields !=
-                work.test[j].items[i].fields) {
-                any_difference = true;
-                break;
-            }
-        }
-    }
-    EXPECT_TRUE(any_difference);
+    EXPECT_FALSE(other.test == work.test);
 }
 
 TEST_P(WorkloadSuite, TrainTestDisjointStreams)
@@ -77,12 +57,7 @@ TEST_P(WorkloadSuite, TrainTestDisjointStreams)
     // first jobs differ.
     ASSERT_FALSE(work.train.empty());
     ASSERT_FALSE(work.test.empty());
-    const auto &a = work.train.front().items;
-    const auto &b = work.test.front().items;
-    bool differ = a.size() != b.size();
-    for (std::size_t i = 0; !differ && i < a.size(); ++i)
-        differ = a[i].fields != b[i].fields;
-    EXPECT_TRUE(differ);
+    EXPECT_FALSE(work.train.front() == work.test.front());
 }
 
 TEST_P(WorkloadSuite, FieldsAreNonNegative)
